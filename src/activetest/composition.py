@@ -147,7 +147,9 @@ def distance_to_truncated_composition(
         if np.any(np.diff(curve) > 1e-12):
             raise ValueError("invalid class parameter")
         new = np.full(total + 1, np.inf)
-        for k in range(kmax + 1):
+        # past the curve's first minimum a larger k costs no less and uses
+        # more budget; dp is non-increasing, so those k never win
+        for k in range(int(np.argmin(curve[: kmax + 1])) + 1):
             c = curve[k]
             new[k:] = np.minimum(new[k:], dp[: total + 1 - k] + c)
         dp = new

@@ -423,7 +423,7 @@ def _build_intervals_da(eps: float, params: dict, rng: np.random.Generator) -> _
         params,
         {
             "d": 100,
-            "grid": 100_000,
+            "grid": None,
             "flips": True,
             "unlabeled": None,
             "agnostic": None,
@@ -432,7 +432,16 @@ def _build_intervals_da(eps: float, params: dict, rng: np.random.Generator) -> _
     )
     d = int(p["d"])
     target = noisy_interval_target(d, flips=bool(p["flips"]))
-    truth, _ = exact_distance_to_intervals(grid_interval_sample(target, int(p["grid"])), d)
+    # the target's edges sit at multiples of 1/20 of a period, so a grid of
+    # 20*d*j cells puts each on a cell boundary and the grid truth is exact
+    period_cells = 20 * d
+    if p["grid"] is None:
+        grid = period_cells * math.ceil(100_000 / period_cells)
+    else:
+        grid = int(p["grid"])
+        if grid < 1 or grid % period_cells:
+            raise ValueError("invalid parameter")
+    truth, _ = exact_distance_to_intervals(grid_interval_sample(target, grid), d)
     kwargs = {}
     if p["unlabeled"] is not None:
         kwargs["unlabeled_constant"] = float(p["unlabeled"])

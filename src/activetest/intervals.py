@@ -1,10 +1,13 @@
 """Unions of intervals on the line: exact empirical distance and its
 label-frugal distance approximation.
 
-The exact solver is a dynamic program over the sorted sample. The
-approximation routes small interval budgets to plain agnostic learning and
-large ones through the block-composition estimator, whose label spend is a
-function of the accuracy alone, not of the interval budget.
+The exact solver is one run-compressed dynamic program: equal positions
+are grouped, runs of equal-label positions are merged, and the DP walks
+the runs in O(runs * d) time. It gives both the exact distance with a
+witness and the error curve over every budget. The approximation routes
+small interval budgets to plain agnostic learning and large ones through
+the block-composition estimator, whose label spend is a function of the
+accuracy alone, not of the interval budget.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from .active_reduction import active_sample_size
 from .composition import (
+    ORACLE_REPETITIONS,
     CompositionSpec,
     block_sample_count,
     composition_da,
@@ -53,10 +57,6 @@ AGNOSTIC_SAMPLE_CONSTANT = 1.0
 # lambda <= 16/eps and the block-sample formula are folded into C. Tuned so
 # the Monte Carlo acceptance battery runs in seconds with margin to spare.
 COMPOSITION_LABEL_CONSTANT = 6.5e-3
-
-# Median-of-3 repetitions, each sized for failure <= 1/6; the median then
-# fails with probability 2/27 < 1/12.
-ORACLE_REPETITIONS = 3
 
 # Unlabeled draws for the unknown-distribution wrapper:
 # ceil(C * 2d * ln(1/eps) / eps^2).
@@ -129,48 +129,95 @@ class DaResult:
     witness: IntervalUnion | None = None
 
 
-def _compress(points, weights, labels):
-    """Group equal positions: sorted unique positions with the label-0 and
-    label-1 weight carried at each."""
+def _interval_dp(points, weights, labels, kmax: int, witness: bool = False):
+    """The one interval DP: minimum disagreement weight against a union of
+    at most k intervals for k = 0..min(kmax, r), and optionally a union
+    attaining the smallest of those values.
+
+    Equal positions are grouped, then each maximal run of positions that
+    carry one label only is merged into one atom; a position carrying both
+    labels stays its own atom. This is exact: an optimal union can be taken
+    constant on a pure run (a label-1 run touched by the union can be
+    filled, a label-0 run holding a gap can be emptied, neither adding
+    intervals). With r atoms carrying label-1 weight, r intervals already
+    reach the unconstrained optimum, so the DP stops at k = r. The
+    (inside/outside x intervals used) DP then walks the atoms.
+    """
     pts = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    lab = np.asarray(labels)
+    if pts.shape[0] == 0:
+        return np.zeros(1), IntervalUnion()
     order = np.argsort(pts, kind="stable")
-    pts, w, lab = pts[order], w[order], lab[order]
-    uniq, start = np.unique(pts, return_index=True)
-    grp = np.zeros(len(pts), dtype=np.intp)
-    grp[start[1:]] = 1
-    grp = np.cumsum(grp)
-    w0 = np.zeros(len(uniq))
-    w1 = np.zeros(len(uniq))
-    np.add.at(w0, grp[lab == 0], w[lab == 0])
-    np.add.at(w1, grp[lab == 1], w[lab == 1])
-    return uniq, w0, w1
+    pts = pts[order]
+    w = np.asarray(weights, dtype=float)[order]
+    lab = np.asarray(labels)[order]
+    new_pos = np.empty(pts.shape[0], dtype=bool)
+    new_pos[0] = True
+    np.not_equal(pts[1:], pts[:-1], out=new_pos[1:])
+    uniq = pts[new_pos]
+    # (label-0, label-1) weight per position, then per atom
+    per_pos = np.add.reduceat(
+        w[:, None] * (lab[:, None] == (0, 1)), np.flatnonzero(new_pos), axis=0
+    )
+    has = per_pos != 0
+    kind = has[:, 1] * (1 + has[:, 0])  # 0: no label 1, 1: label 1 only, 2: both
+    first = np.empty(kind.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(kind[1:], kind[:-1], out=first[1:])
+    first[1:] |= kind[1:] == 2
+    lo = np.flatnonzero(first)
+    pay = np.add.reduceat(per_pos, lo, axis=0)
+    n = lo.shape[0]
+    k = min(kmax, int(np.count_nonzero(kind[lo])))
+    # States in crossing order (inside j, outside j) for j = 0..k, inside 0
+    # being unreachable: each atom keeps its state or crosses one boundary
+    # (s-1 -> s), then pays the weight of the label its state disagrees
+    # with. Two buffers take turns as the current row.
+    buf = np.full((2, 2 * k + 2), np.inf)
+    buf[0, 1] = 0.0
+    pairs = buf.reshape(2, k + 1, 2)
+    turns = ((buf[0], buf[1], pairs[1]), (buf[1], buf[0], pairs[0]))
+    if witness:
+        crossed = np.zeros((n, 2 * k + 2), dtype=bool)
+    for i in range(n):
+        row, new, new_pairs = turns[i % 2]
+        if witness:
+            np.less(row[:-1], row[1:], out=crossed[i, 1:])
+        np.minimum(row[1:], row[:-1], out=new[1:])
+        new_pairs += pay[i]
+    cur = pairs[n % 2]
+    curve = cur.min(axis=1)
+    if not witness:
+        return curve, None
+    # walk back from the best final state, preferring inside on ties; each
+    # witness interval spans from the first position of its first atom to
+    # the last position of its last atom
+    j = int(np.argmin(curve))
+    s = 2 * j if cur[j, 0] <= cur[j, 1] else 2 * j + 1
+    starts, ends = [], [] if s % 2 else [n - 1]
+    for i in range(n - 1, -1, -1):
+        if crossed[i, s]:
+            if s % 2:
+                ends.append(i - 1)
+            else:
+                starts.append(i)
+            s -= 1
+    bounds = lo.tolist() + [uniq.shape[0]]
+    return curve, IntervalUnion(
+        [(uniq[bounds[a]], uniq[bounds[b + 1] - 1]) for a, b in zip(starts[::-1], ends[::-1])]
+    )
 
 
 def interval_error_curve(points, weights, labels, kmax: int) -> np.ndarray:
     """Minimum disagreement weight against a union of at most k intervals,
-    for every k = 0..kmax in one pass."""
+    for every k = 0..kmax in one pass; flat past the number of atoms that
+    carry label-1 weight."""
     if kmax < 0:
         raise ValueError("invalid class parameter")
-    uniq, w0, w1 = _compress(points, weights, labels)
-    n = len(uniq)
-    if n == 0:
-        return np.zeros(kmax + 1)
-    inf = np.inf
-    inside = np.full(kmax + 1, inf)
-    outside = np.full(kmax + 1, inf)
-    outside[0] = 0.0
-    for i in range(n):
-        prev_in = inside
-        prev_out = outside
-        opened = np.empty(kmax + 1)
-        opened[0] = inf
-        opened[1:] = prev_out[:-1]
-        inside = w0[i] + np.minimum(prev_in, opened)
-        outside = w1[i] + np.minimum(prev_out, prev_in)
-    curve = np.minimum(inside, outside)
-    return np.minimum.accumulate(curve)
+    curve, _ = _interval_dp(points, weights, labels, kmax)
+    out = np.empty(kmax + 1)
+    out[: curve.shape[0]] = np.minimum.accumulate(curve)
+    out[curve.shape[0] :] = out[curve.shape[0] - 1]
+    return out
 
 
 def exact_distance_to_intervals(
@@ -179,61 +226,19 @@ def exact_distance_to_intervals(
     """Exact empirical distance from the sample's labeling to the nearest
     union of at most d intervals, plus an optimal witness.
 
-    The DP walks sorted distinct positions with (intervals opened,
-    inside/outside) states, O(len(sample) * d) time.
+    The DP walks runs of equal-label positions (atoms) with (intervals
+    opened, inside/outside) states, O(runs * d) time after an O(n log n)
+    sort.
     """
     if not isinstance(d, (int, np.integer)) or d < 0:
         raise ValueError("invalid class parameter")
     if sample.labels is None:
         raise ValueError("domain mismatch")
     sample.require_normalized()
-    uniq, w0, w1 = _compress(sample.points, sample.weights, sample.labels)
-    n = len(uniq)
-    if n == 0:
-        return 0.0, IntervalUnion()
-    d = int(d)
-    inf = np.inf
-    inside = np.full(d + 1, inf)
-    outside = np.full(d + 1, inf)
-    outside[0] = 0.0
-    opened_new = np.zeros((n, d + 1), dtype=bool)
-    closed_now = np.zeros((n, d + 1), dtype=bool)
-    for i in range(n):
-        prev_in = inside
-        prev_out = outside
-        opened = np.empty(d + 1)
-        opened[0] = inf
-        opened[1:] = prev_out[:-1]
-        take_open = opened < prev_in
-        opened_new[i] = take_open
-        inside = w0[i] + np.where(take_open, opened, prev_in)
-        take_close = prev_in < prev_out
-        closed_now[i] = take_close
-        outside = w1[i] + np.where(take_close, prev_in, prev_out)
-    finals = np.minimum(inside, outside)
-    j = int(np.argmin(finals))
-    alpha = float(finals[j])
-    state_in = bool(inside[j] <= outside[j])
-    marks = np.zeros(n, dtype=bool)
-    for i in range(n - 1, -1, -1):
-        if state_in:
-            marks[i] = True
-            if opened_new[i, j]:
-                j -= 1
-                state_in = False
-        else:
-            if closed_now[i, j]:
-                state_in = True
-    runs = []
-    i = 0
-    while i < n:
-        if marks[i]:
-            j0 = i
-            while i + 1 < n and marks[i + 1]:
-                i += 1
-            runs.append((uniq[j0], uniq[i]))
-        i += 1
-    return alpha, IntervalUnion(runs)
+    curve, witness = _interval_dp(
+        sample.points, sample.weights, sample.labels, int(d), witness=True
+    )
+    return float(curve.min()), witness
 
 
 def interval_block_spec(m: int) -> CompositionSpec:

@@ -115,6 +115,42 @@ class TestTruncatedDistance:
             got = distance_to_truncated_composition(s, ids, spec, budget)
             assert got == pytest.approx(_brute_truncated(s, ids, spec, budget), abs=1e-12)
 
+    def test_flat_tails_match_every_k_knapsack(self):
+        # reference: the knapsack over every k <= kmax, with no cut at the
+        # curve's first minimum; the cut must not change a single bit
+        def every_k(curves, total, kmax):
+            dp = np.zeros(total + 1)
+            for curve in curves:
+                new = np.full(total + 1, np.inf)
+                for k in range(kmax + 1):
+                    new[k:] = np.minimum(new[k:], dp[: total + 1 - k] + curve[k])
+                dp = new
+            return float(dp.min())
+
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            m = int(rng.integers(1, 7))
+            cap = int(rng.integers(0, 40))
+            total = int(rng.integers(0, 3 * cap + 2))
+            curves = []
+            for _ in range(m):
+                head = np.sort(np.round(rng.random(int(rng.integers(1, 6))), 2))[::-1]
+                tail = np.full(cap + 1, head[-1])
+                if trial % 2:
+                    # upward drift within the monotonicity tolerance
+                    tail += np.cumsum(rng.random(cap + 1)) * 1e-14
+                curves.append(np.concatenate((head, tail))[: cap + 1])
+            spec = CompositionSpec(
+                num_blocks=m,
+                block_cost=lambda i, s, k: float(curves[i][k]),
+                block_cost_curve=lambda i, s, kmax: curves[i][: kmax + 1],
+            )
+            sample = WeightedSample.uniform(rng.random(m), labels=np.zeros(m, dtype=int))
+            got = distance_to_truncated_composition(
+                sample, np.arange(m), spec, TruncatedBudget(total=total, cap=cap)
+            )
+            assert got == every_k(curves, total, min(cap, total))
+
     def test_cap_relaxation_is_monotone(self):
         spec = at_most_k_ones_spec(3)
         rng = np.random.default_rng(5)

@@ -203,6 +203,18 @@ class TestBundledInstances:
         with pytest.raises(ValueError):
             noisy_interval_target(0)
 
+    def test_default_truth_grid_is_exact_at_large_d(self):
+        # 100,000 cells at d=2000 would put cell midpoints on the target's
+        # edges; the default grid is rounded up to a multiple of 20*d
+        rep = run_trials(TrialConfig("intervals-da", eps=0.2, seed=1, params={"d": 2000}))
+        assert abs(rep.rows[0].truth - 0.15) <= 1e-12
+
+    def test_truth_grid_must_align_with_periods(self):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            run_trials(TrialConfig("intervals-da", eps=0.25, params={"d": 4, "grid": 2010}))
+        with pytest.raises(ValueError, match="invalid parameter"):
+            run_trials(TrialConfig("intervals-da", eps=0.25, params={"d": 4, "grid": 0}))
+
     def test_grid_sample_is_normalized(self):
         s = grid_interval_sample(noisy_interval_target(3), 100)
         s.require_normalized()

@@ -60,20 +60,50 @@ class TestIntervalUnion:
 
 
 def _brute_interval_distance(points, weights, labels, d):
-    """Minimum disagreement over all labelings with at most d runs of ones
-    in sorted position order; positions must be distinct."""
-    order = np.argsort(points)
-    w = np.asarray(weights, dtype=float)[order]
-    lab = np.asarray(labels)[order]
-    n = len(lab)
-    best = math.inf
-    for bits in range(2**n):
-        g = (bits >> np.arange(n)) & 1
-        runs = int(np.count_nonzero(np.diff(np.concatenate(([0], g))) == 1))
-        if runs > d:
-            continue
-        best = min(best, float(w[g != lab].sum()))
-    return best
+    """Minimum disagreement over all labelings of the distinct positions
+    with at most d runs of ones in sorted order; a labeling gives every
+    point at one position the same label."""
+    uniq, pos = np.unique(np.asarray(points, dtype=float), return_inverse=True)
+    n = len(uniq)
+    g = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    runs = np.count_nonzero(np.diff(g, axis=1, prepend=0) == 1, axis=1)
+    err = (g[:, pos] != np.asarray(labels)) @ np.asarray(weights, dtype=float)
+    return float(err[runs <= d].min())
+
+
+def _full_dp_curve(points, weights, labels, kmax):
+    """Reference curve: the uncompressed (inside/outside x k) DP over every
+    distinct position and every k up to kmax."""
+    uniq, pos = np.unique(np.asarray(points, dtype=float), return_inverse=True)
+    lab = np.asarray(labels)
+    w = np.asarray(weights, dtype=float)
+    w0 = np.bincount(pos, weights=w * (lab == 0), minlength=len(uniq))
+    w1 = np.bincount(pos, weights=w * (lab == 1), minlength=len(uniq))
+    inside = np.full(kmax + 1, np.inf)
+    outside = np.full(kmax + 1, np.inf)
+    outside[0] = 0.0
+    for i in range(len(uniq)):
+        opened = np.concatenate(([np.inf], outside[:-1]))
+        inside, outside = (
+            w0[i] + np.minimum(inside, opened),
+            w1[i] + np.minimum(outside, inside),
+        )
+    return np.minimum.accumulate(np.minimum(inside, outside))
+
+
+def _stress_instance(rng, n_runs, max_run):
+    """Positions on a coarse lattice (so some repeat), labels in long pure
+    runs with some positions holding both labels, and some zero weights."""
+    lengths = rng.integers(1, max_run + 1, size=n_runs)
+    labels = np.repeat(np.arange(n_runs) % 2 ^ rng.integers(0, 2), lengths)
+    n = labels.shape[0]
+    pts = np.sort(rng.integers(0, max(2, int(0.8 * n)), size=n)) / n
+    flip = rng.random(n) < 0.1
+    labels = np.where(flip, 1 - labels, labels)
+    w = rng.random(n) * (rng.random(n) > 0.2)
+    w[0] += 1e-3
+    perm = rng.permutation(n)
+    return pts[perm], w[perm] / w.sum(), labels[perm]
 
 
 class TestExactDistance:
@@ -105,6 +135,25 @@ class TestExactDistance:
             )
             assert len(witness) <= d
             # the witness achieves the optimum on the sample
+            disagreement = float(w[witness.evaluate(pts) != labels].sum())
+            assert disagreement == pytest.approx(alpha, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_run_compressed_instances(self, d):
+        # repeated positions with mixed labels, zero weights and long pure
+        # runs; small instances against brute force, the rest against the
+        # uncompressed DP
+        rng = np.random.default_rng(70 + d)
+        for n_runs, max_run in [(5, 4)] * 40 + [(11, 40)] * 20:
+            pts, w, labels = _stress_instance(rng, int(rng.integers(1, n_runs + 1)), max_run)
+            if len(np.unique(pts)) <= 12:
+                expected = _brute_interval_distance(pts, w, labels, d)
+            else:
+                expected = _full_dp_curve(pts, w, labels, d)[d]
+            alpha, witness = exact_distance_to_intervals(WeightedSample(pts, w, labels), d)
+            assert alpha == pytest.approx(expected, abs=1e-12)
+            assert len(witness) <= d
+            assert np.all(np.isin(witness.intervals, pts))
             disagreement = float(w[witness.evaluate(pts) != labels].sum())
             assert disagreement == pytest.approx(alpha, abs=1e-12)
 
@@ -153,6 +202,30 @@ class TestErrorCurve:
             assert curve[k] == pytest.approx(
                 exact_distance_to_intervals(s, k)[0], abs=1e-12
             )
+
+    def test_matches_full_dp_past_flat_point(self):
+        rng = np.random.default_rng(11)
+        padded = 0
+        for _ in range(30):
+            pts, w, labels = _stress_instance(rng, int(rng.integers(1, 12)), 40)
+            kmax = int(rng.integers(0, 30))
+            curve = interval_error_curve(pts, w, labels, kmax)
+            assert curve.shape == (kmax + 1,)
+            np.testing.assert_allclose(
+                curve, _full_dp_curve(pts, w, labels, kmax), rtol=0, atol=1e-12
+            )
+            # past the one-runs of the best free labeling the curve is flat
+            # at the unconstrained optimum
+            pos = np.unique(pts, return_inverse=True)[1]
+            w0 = np.bincount(pos, weights=w * (labels == 0))
+            w1 = np.bincount(pos, weights=w * (labels == 1))
+            free = (w1 > w0).astype(int)
+            r = int(np.count_nonzero(np.diff(free, prepend=0) == 1))
+            if r < kmax:
+                padded += 1
+                np.testing.assert_allclose(curve[r:], curve[-1], rtol=0, atol=1e-12)
+                assert curve[-1] == pytest.approx(np.minimum(w0, w1).sum(), abs=1e-12)
+        assert padded >= 10
 
     def test_negative_kmax_rejected(self):
         with pytest.raises(ValueError):
