@@ -78,7 +78,10 @@ class TargetFunction:
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "TargetFunction":
-        arr = np.asarray(labels, dtype=np.int8)
+        arr = np.asarray(labels)
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("invalid parameter")
+        arr = arr.astype(np.int8)
         return cls(lambda i: arr[int(i)], lambda ids: arr[np.asarray(ids, dtype=np.intp)])
 
     @classmethod

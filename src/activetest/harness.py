@@ -37,6 +37,8 @@ from .bandit import (
     star_exact_hard_error,
 )
 from .composition import (
+    ERM_SAMPLE_CONSTANT,
+    ORACLE_REPETITIONS,
     TruncatedBudget,
     at_most_k_ones_spec,
     block_sample_count,
@@ -485,10 +487,9 @@ def _build_compose_da(eps: float, params: dict, rng: np.random.Generator) -> _Bu
     else:
         l = min(m, block_sample_count(eps, mu))
         d_knap = max(1, math.floor((1.0 + mu / 2.0) * lam * l))
-        erm = max(
-            1, math.ceil(0.1 * 2.0 * d_knap * math.log(2.0 / eps) / (eps / 2.0) ** 2)
-        )
-        pool_size = math.ceil(1.35 * 3 * erm * m / l) + 256
+        erm_scale = ERM_SAMPLE_CONSTANT * 2.0 * d_knap
+        erm = max(1, math.ceil(erm_scale * math.log(2.0 / eps) / (eps / 2.0) ** 2))
+        pool_size = math.ceil(1.35 * ORACLE_REPETITIONS * erm * m / l) + 256
 
     def run(trial_rng: np.random.Generator):
         oracle = LabelOracle(target)

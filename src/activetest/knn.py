@@ -2,10 +2,10 @@
 label-frugal estimators of its loss.
 
 Points are integer ids into a finite metric space. A pool of candidate
-neighbors ranks by distance with ties broken by pool position, and the
-same ranking serves every neighbor count k. Predictors model a fully
-labeled pool and read the target directly; the estimators pay for every
-label through the instance's oracle and report exact query counts.
+neighbors ranks by distance, ties broken by pool position; the estimators
+rank each distinct test point once and reuse it for every k. Predictors
+read a fully labeled pool for free; the estimators pay for every label
+through the instance's oracle and report exact query counts.
 
 Estimator accuracy contracts are additive-eps with success probability
 at least 2/3; iteration counts come from `chernoff_iterations`. Exact
@@ -219,6 +219,14 @@ def _draw_ids(inst: KnnInstance, test_dist: Distribution, n: int, rng) -> np.nda
     return inst.space._check_ids(ids)
 
 
+def _ranked_test_draws(inst: KnnInstance, test_dist: Distribution, n: int, rng):
+    # Row inv[i] of nbr is the pool sorted by distance from test draw i.
+    x = _draw_ids(inst, test_dist, n, rng)
+    fx = inst.oracle.query_many(x)
+    ux, inv = np.unique(x, return_inverse=True)
+    return fx, inst.pool[inst.ranking(ux)], inv
+
+
 def _pool_labels(inst: KnnInstance) -> np.ndarray:
     # Free read of the hypothetical fully labeled pool; estimators never
     # use this path.
@@ -271,12 +279,9 @@ def estimate_soft_loss_pth(
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
     before = inst.oracle.used
-    x = _draw_ids(inst, test_dist, t, rng)
-    fx = inst.oracle.query_many(x)
-    nbr = inst.neighbor_ids(x, k)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng)
     j = rng.integers(0, k, size=(t, p))
-    chosen = np.take_along_axis(nbr, j, axis=1)
-    fj = inst.oracle.query_many(chosen.ravel()).reshape(t, p)
+    fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, p)
     vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
     return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
 
@@ -317,15 +322,22 @@ def estimate_loss_lipschitz(
     t = chernoff_iterations(eps / 2.0, 1.0 / 6.0)
     w = lipschitz_inner_samples(lipschitz, eps, t)
     before = inst.oracle.used
-    x = _draw_ids(inst, test_dist, t, rng)
-    fx = inst.oracle.query_many(x)
-    nbr = inst.neighbor_ids(x, k)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng)
     j = rng.integers(0, k, size=(t, w))
-    chosen = np.take_along_axis(nbr, j, axis=1)
-    fj = inst.oracle.query_many(chosen.ravel()).reshape(t, w)
+    fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, w)
     z = np.abs(fj.mean(axis=1) - fx)
     vals = np.array([float(loss(zi)) for zi in z])
     return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
+
+
+def _normalized_weights(inst: KnnInstance, wts) -> np.ndarray:
+    wts = np.asarray(wts, dtype=float)
+    if wts.shape != (inst.size,) or np.any(wts < 0.0):
+        raise ValueError("invalid parameter")
+    total = wts.sum()
+    if total <= 0.0:
+        raise ValueError("degenerate weights")
+    return wts / total
 
 
 def estimate_weighted_nn_loss(
@@ -352,16 +364,10 @@ def estimate_weighted_nn_loss(
     before = inst.oracle.used
     x = _draw_ids(inst, test_dist, t, rng)
     fx = inst.oracle.query_many(x)
-    d = inst.space.cross(x, inst.pool)
     chosen_pos = np.empty((t, p), dtype=np.intp)
-    for i in range(t):
-        wts = np.asarray(weights(d[i]), dtype=float)
-        if wts.shape != (inst.size,) or np.any(wts < 0.0):
-            raise ValueError("invalid parameter")
-        total = wts.sum()
-        if total <= 0.0:
-            raise ValueError("degenerate weights")
-        chosen_pos[i] = rng.choice(inst.size, size=p, replace=True, p=wts / total)
+    for i, dists in enumerate(inst.space.cross(x, inst.pool)):
+        probs = _normalized_weights(inst, weights(dists))
+        chosen_pos[i] = rng.choice(inst.size, size=p, replace=True, p=probs)
     fj = inst.oracle.query_many(inst.pool[chosen_pos].ravel()).reshape(t, p)
     vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
     return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
@@ -387,10 +393,8 @@ def estimate_hard_error(
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
     before = inst.oracle.used
-    x = _draw_ids(inst, test_dist, t, rng)
-    fx = inst.oracle.query_many(x)
-    nbr = inst.neighbor_ids(x, k)
-    fj = inst.oracle.query_many(nbr.ravel()).reshape(t, k)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng)
+    fj = inst.oracle.query_many(nbr[inv, :k].ravel()).reshape(t, k)
     pred = (fj.mean(axis=1) > 0.5).astype(np.int8)
     vals = np.abs(pred - fx).astype(float)
     return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
@@ -430,7 +434,8 @@ def best_k(
     1 - 1/(9*G) by taking the median of R = median_repetitions(1/(9G))
     independent repetitions. Test points and their labels are shared
     across the grid (the per-k guarantees are marginal, so the union
-    bound is unaffected); neighbor draws are fresh per k. Returns the
+    bound is unaffected), and each distinct test point is ranked once
+    for the whole grid; neighbor draws are fresh per k. Returns the
     grid point with the smallest estimate and the full (k, estimate)
     table. The winner's true loss is within eps of the best over all
     k in {1..N} with probability at least 2/3. Spends R*T*(1 + G*p)
@@ -444,15 +449,13 @@ def best_k(
     reps = median_repetitions(1.0 / (9.0 * g))
     t = chernoff_iterations(eps / 3.0, 1.0 / 3.0)
     total = reps * t
-    x = _draw_ids(inst, test_dist, total, rng)
-    fx = inst.oracle.query_many(x)
-    rank = inst.ranking(x)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, total, rng)
     table: list[tuple[int, float]] = []
     for k in grid:
         j = rng.integers(0, k, size=(total, p))
-        chosen_pos = np.take_along_axis(rank[:, :k], j, axis=1)
-        fj = inst.oracle.query_many(inst.pool[chosen_pos].ravel()).reshape(total, p)
-        vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
+        fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(total, p)
+        # all differ = the 0/1 product; by column, as short-axis reductions are slow
+        vals = np.all([fj[:, c] != fx for c in range(p)], axis=0)
         rep_means = vals.reshape(reps, t).mean(axis=1)
         table.append((k, float(np.median(rep_means))))
     k_star = grid[int(np.argmin([v for _, v in table]))]
@@ -524,18 +527,11 @@ def exact_weighted_nn_loss(
     """Exact weighted-neighbor p-th power loss (enumeration oracle)."""
     p = _check_p(p)
     ids, probs = _check_test_weights(inst, test_ids, test_probs)
-    d = inst.space.cross(ids, inst.pool)
     pool_labels = _pool_labels(inst).astype(float)
     fx = inst.oracle.target.eval_many(ids).astype(float)
     out = 0.0
-    for i in range(ids.shape[0]):
-        wts = np.asarray(weights(d[i]), dtype=float)
-        if wts.shape != (inst.size,) or np.any(wts < 0.0):
-            raise ValueError("invalid parameter")
-        total = wts.sum()
-        if total <= 0.0:
-            raise ValueError("degenerate weights")
-        err1 = np.abs(pool_labels - fx[i]) @ (wts / total)
+    for i, dists in enumerate(inst.space.cross(ids, inst.pool)):
+        err1 = np.abs(pool_labels - fx[i]) @ _normalized_weights(inst, weights(dists))
         out += probs[i] * err1**p
     return float(out)
 
@@ -574,7 +570,7 @@ def knn_instance_from_json(text: str) -> KnnInstance:
             raise ValueError("invalid parameter")
     else:
         raise ValueError("invalid parameter")
-    labels = np.asarray(obj["labels"], dtype=np.int8)
+    labels = np.asarray(obj["labels"])
     if labels.shape != (space.n,):
         raise ValueError("invalid parameter")
     return KnnInstance(

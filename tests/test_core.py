@@ -28,6 +28,13 @@ class TestTargetFunction:
         assert [tf(i) for i in range(5)] == labels
         np.testing.assert_array_equal(tf.eval_many(np.arange(5)), labels)
 
+    def test_from_labels_rejects_non_binary(self):
+        for labels in ([0, 2, 1], [-1, 0], [0.5, 1.0], [0, 300]):
+            with pytest.raises(ValueError, match="invalid parameter"):
+                TargetFunction.from_labels(labels)
+        tf = TargetFunction.from_labels(np.array([True, False]))
+        np.testing.assert_array_equal(tf.eval_many([0, 1]), [1, 0])
+
     def test_constant(self):
         tf = TargetFunction.constant(1)
         assert tf(0.37) == 1

@@ -26,6 +26,7 @@ from activetest import (
     striped_union_target,
 )
 from activetest.cli import main
+from activetest.harness import _build_compose_da
 
 # noiseless periodic target: distance zero, one cheap agnostic-route trial
 _FAST_PARAMS = {"d": 4, "flips": False, "grid": 2000}
@@ -117,6 +118,15 @@ class TestRunTrials:
         for r in rep.rows:
             assert r.success == (r.abs_error <= rep.tolerance)
             assert r.abs_error == pytest.approx(abs(r.output - r.truth))
+
+    def test_compose_da_default_pool_size(self):
+        # The pool is sized from ERM_SAMPLE_CONSTANT and ORACLE_REPETITIONS;
+        # seeded compose-da outputs depend on it staying the same.
+        sizes = {
+            eps: _build_compose_da(eps, {}, np.random.default_rng(0)).info["pool"]
+            for eps in (0.1, 0.15, 0.2)
+        }
+        assert sizes == {0.1: 97319, 0.15: 37557, 0.2: 18746}
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from activetest import (
+    Distribution,
     KnnInstance,
     LabelOracle,
     MetricSpace,
@@ -33,6 +34,7 @@ from activetest import (
     median_repetitions,
     verify_triangle,
 )
+from activetest.harness import _build_best_k
 
 
 @pytest.fixture
@@ -338,9 +340,184 @@ class TestJson:
         np.testing.assert_array_equal(back.space.matrix, m)
         np.testing.assert_array_equal(back.pool, [0, 2])
 
+    def test_non_binary_label_rejected(self):
+        payload = json.dumps(
+            {
+                "metric": "euclidean1d",
+                "points": [0.0, 1.0, 2.0],
+                "pool_indices": [0, 1],
+                "labels": [0, 2, 1],
+            }
+        )
+        with pytest.raises(ValueError, match="invalid parameter"):
+            knn_instance_from_json(payload)
+
     def test_unknown_metric_rejected(self):
         payload = json.dumps(
             {"metric": "hyperbolic", "points": [0], "pool_indices": [0], "labels": [0]}
         )
         with pytest.raises(ValueError):
             knn_instance_from_json(payload)
+
+
+class _RecordingOracle(LabelOracle):
+    """Label oracle that keeps a copy of every batch it is asked for."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.batches = []
+
+    def query_many(self, points):
+        self.batches.append(np.array(points, copy=True))
+        return super().query_many(points)
+
+
+# Reference estimators: the per-draw path (rank every draw, then
+# take_along_axis over the ranking, then the product of label differences).
+
+
+def _reference_draws(inst, dist, n, rng):
+    x = np.rint(np.asarray(dist.draw(n, rng), dtype=float)).astype(np.intp)
+    return x, inst.oracle.query_many(x)
+
+
+def _reference_best_k(inst, dist, p, eps, seed):
+    rng = np.random.default_rng(seed)
+    grid = best_k_grid(inst.size, p, eps)
+    reps = median_repetitions(1.0 / (9.0 * len(grid)))
+    t = chernoff_iterations(eps / 3.0, 1.0 / 3.0)
+    x, fx = _reference_draws(inst, dist, reps * t, rng)
+    rank = inst.ranking(x)
+    table = []
+    for k in grid:
+        j = rng.integers(0, k, size=(reps * t, p))
+        chosen = np.take_along_axis(rank[:, :k], j, axis=1)
+        fj = inst.oracle.query_many(inst.pool[chosen].ravel()).reshape(reps * t, p)
+        vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
+        table.append((k, float(np.median(vals.reshape(reps, t).mean(axis=1)))))
+    return grid[int(np.argmin([v for _, v in table]))], table
+
+
+def _reference_soft(inst, dist, k, p, eps, seed):
+    rng = np.random.default_rng(seed)
+    t = chernoff_iterations(eps, 1.0 / 3.0)
+    x, fx = _reference_draws(inst, dist, t, rng)
+    j = rng.integers(0, k, size=(t, p))
+    chosen = np.take_along_axis(inst.neighbor_ids(x, k), j, axis=1)
+    fj = inst.oracle.query_many(chosen.ravel()).reshape(t, p)
+    return float(np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1).mean())
+
+
+def _reference_lipschitz(inst, dist, k, loss, lipschitz, eps, seed):
+    rng = np.random.default_rng(seed)
+    t = chernoff_iterations(eps / 2.0, 1.0 / 6.0)
+    w = lipschitz_inner_samples(lipschitz, eps, t)
+    x, fx = _reference_draws(inst, dist, t, rng)
+    j = rng.integers(0, k, size=(t, w))
+    chosen = np.take_along_axis(inst.neighbor_ids(x, k), j, axis=1)
+    fj = inst.oracle.query_many(chosen.ravel()).reshape(t, w)
+    return float(np.mean([float(loss(z)) for z in np.abs(fj.mean(axis=1) - fx)]))
+
+
+def _reference_hard(inst, dist, k, eps, seed):
+    rng = np.random.default_rng(seed)
+    t = chernoff_iterations(eps, 1.0 / 3.0)
+    x, fx = _reference_draws(inst, dist, t, rng)
+    fj = inst.oracle.query_many(inst.neighbor_ids(x, k).ravel()).reshape(t, k)
+    pred = (fj.mean(axis=1) > 0.5).astype(np.int8)
+    return float(np.abs(pred - fx).astype(float).mean())
+
+
+def _equivalence_case(name):
+    rng = np.random.default_rng(31)
+    if name == "repeats":
+        # 12 test ids with uneven weights, each drawn many times
+        space = MetricSpace.euclidean1d(rng.random(42))
+        pool = np.arange(30)
+        dist = id_distribution(np.arange(30, 42), rng.dirichlet(np.ones(12)))
+    elif name == "distinct":
+        # every draw is a different id: a random permutation of 0..n-1
+        space = MetricSpace.euclidean1d(rng.random(4100))
+        pool = np.arange(4070, 4100)
+        dist = Distribution.from_inverse_cdf(lambda u: np.argsort(u).astype(float))
+    else:
+        # Hamming distance between 5-bit strings: many tied distances, and a
+        # shuffled pool so that ties break by pool position, not by id
+        bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
+        matrix = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
+        space = MetricSpace.explicit(matrix)
+        pool = rng.permutation(32)[:16]
+        dist = id_distribution(np.arange(32))
+    target = TargetFunction.from_labels(rng.integers(0, 2, size=space.n))
+    return (lambda: KnnInstance(space, pool, _RecordingOracle(target))), dist
+
+
+class TestDistinctRankingEquivalence:
+    """Each estimator ranks distinct test ids once; seeded outputs, label
+    bills and every queried batch must equal the per-draw reference."""
+
+    @pytest.fixture(params=["repeats", "distinct", "ties"])
+    def case(self, request):
+        return _equivalence_case(request.param)
+
+    @staticmethod
+    def _assert_same_queries(new, ref):
+        assert new.oracle.used == ref.oracle.used
+        assert len(new.oracle.batches) == len(ref.oracle.batches)
+        for a, b in zip(new.oracle.batches, ref.oracle.batches):
+            np.testing.assert_array_equal(a, b)
+
+    def test_case_draw_multiplicity(self):
+        make, dist = _equivalence_case("repeats")
+        x = dist.draw(500, 0)
+        assert np.unique(x).size == 12
+        make, dist = _equivalence_case("distinct")
+        x = dist.draw(4000, 0)
+        assert np.unique(x).size == 4000
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_best_k(self, case, p):
+        make, dist = case
+        new, ref = make(), make()
+        got = best_k(new, dist, p, 0.45, seed=p)
+        assert got == _reference_best_k(ref, dist, p, 0.45, seed=p)
+        self._assert_same_queries(new, ref)
+
+    def test_soft_loss_pth(self, case):
+        make, dist = case
+        new, ref = make(), make()
+        est = estimate_soft_loss_pth(new, dist, 7, 2, 0.1, seed=4)
+        assert est.value == _reference_soft(ref, dist, 7, 2, 0.1, seed=4)
+        self._assert_same_queries(new, ref)
+
+    def test_loss_lipschitz(self, case):
+        make, dist = case
+        new, ref = make(), make()
+        est = estimate_loss_lipschitz(new, dist, 4, np.square, 1.0, 0.3, seed=5)
+        assert est.value == _reference_lipschitz(ref, dist, 4, np.square, 1.0, 0.3, seed=5)
+        self._assert_same_queries(new, ref)
+
+    def test_hard_error(self, case):
+        make, dist = case
+        new, ref = make(), make()
+        est = estimate_hard_error(new, dist, 5, 0.1, seed=6)
+        assert est.value == _reference_hard(ref, dist, 5, 0.1, seed=6)
+        self._assert_same_queries(new, ref)
+
+
+def test_best_k_ranks_each_distinct_test_id_once(monkeypatch):
+    # Work guard, no timing: on the bundled n=200, p=2 search (25,856 test
+    # draws over 200 distinct test ids) the ranked rows must not exceed the
+    # distinct test ids, so a return to per-draw ranking fails here.
+    bundle = _build_best_k(0.2, {"n": 200, "p": 2}, np.random.default_rng(0))
+    rows = []
+    ranking = KnnInstance.ranking
+
+    def counting_ranking(self, x_ids):
+        out = ranking(self, x_ids)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(KnnInstance, "ranking", counting_ranking)
+    bundle.info["search"](np.random.default_rng(1))
+    assert 0 < sum(rows) <= bundle.info["n"]
