@@ -19,11 +19,10 @@ from activetest import (
     TruncatedBudget,
     WeightedSample,
     at_most_k_ones_spec,
-    chernoff_iterations,
     disjoint_union_da,
+    disjoint_union_plan,
     distance_to_truncated_composition,
     exact_distance_to_intervals,
-    median_repetitions,
     run_trials,
 )
 
@@ -74,8 +73,7 @@ def disjoint_union_section():
 
     target = TargetFunction.from_callable(lambda x: stripes([x])[0], stripes)
     eps = 0.4
-    s = chernoff_iterations(eps / 4.0, 1.0 / 9.0)
-    reps = median_repetitions(1.0 / (9.0 * s))
+    s, reps = disjoint_union_plan(eps, 2)
     rng = np.random.default_rng(48)
     pool = ActivePool(rng.random(s + 2 * reps * 80 + 4000), LabelOracle(target))
 

@@ -30,6 +30,7 @@ __all__ = [
     "distance_to_truncated_composition",
     "composition_da",
     "disjoint_union_da",
+    "disjoint_union_plan",
     "choose_block_indices",
     "block_sample_count",
     "at_most_k_ones_spec",
@@ -266,6 +267,33 @@ def composition_da(
     return float(np.median(estimates))
 
 
+def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
+    """(s, reps) for :func:`disjoint_union_da`: s block draws and the median
+    repetitions behind each distinct drawn block's estimate.
+
+    The output misses by eps only if the mean over the s draws misses its
+    expectation by eps/4 (Hoeffding, probability <= 1/9) or some distinct
+    drawn block's median misses by eps/2. At most min(s, num_blocks) blocks
+    are distinct, so boosting each median to failure 1/(9*min(s,
+    num_blocks)) bounds the second event by 1/9 too (union bound). Together
+    the failure is <= 2/9 < 1/3 and the error <= 3*eps/4 < eps.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ValueError("invalid parameter")
+    is_int = isinstance(num_blocks, (int, np.integer)) and not isinstance(num_blocks, bool)
+    if not is_int or num_blocks < 1:
+        raise ValueError("partition violation")
+    s = chernoff_iterations(eps / 4.0, 1.0 / 9.0)
+    return s, median_repetitions(1.0 / (9.0 * min(s, int(num_blocks))))
+
+
+def _checked_block_ids(block_of, points: np.ndarray, num_blocks: int) -> np.ndarray:
+    ids = np.asarray(block_of(points), dtype=np.intp)
+    if ids.shape != points.shape[:1] or np.any(ids < 0) or np.any(ids >= num_blocks):
+        raise ValueError("partition violation")
+    return ids
+
+
 def disjoint_union_da(
     pool: ActivePool,
     per_block_da: Callable[[ActivePool, float, np.random.Generator], float],
@@ -281,20 +309,21 @@ def disjoint_union_da(
 
     Draws s = chernoff_iterations(eps/4, 1/9) block indices by reading fresh
     unlabeled points, then for each distinct drawn block runs per_block_da at
-    accuracy eps/2, boosted to success 1 - 1/(9s) by a median of
-    ceil(18*ln(9s)) repetitions, each on a fresh slice of block_pool_size
-    pool points from that block. Blocks without enough pool points
-    contribute 0. Returns the mean estimate over the s draws.
+    accuracy eps/2, boosted to success 1 - 1/(9*min(s, num_blocks)) by a
+    median of ceil(18*ln(9*min(s, num_blocks))) repetitions, each on a fresh
+    slice of block_pool_size pool points from that block. One estimate is
+    cached per distinct block, so the union bound runs over those blocks,
+    not over the s draws (:func:`disjoint_union_plan`): at eps=0.1 with two
+    blocks that is 53 repetitions instead of 179. Blocks without enough pool
+    points contribute 0. Returns the mean estimate over the s draws.
+    block_of must map every pool point into [0, num_blocks).
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("invalid parameter")
+    s, reps = disjoint_union_plan(eps, num_blocks)
     rng = as_generator(seed)
-    s = chernoff_iterations(eps / 4.0, 1.0 / 9.0)
-    reps = median_repetitions(1.0 / (9.0 * s))
     draw_pts, _ = pool.take(s)
-    drawn_blocks = np.asarray(block_of(draw_pts), dtype=np.intp)
+    drawn_blocks = _checked_block_ids(block_of, draw_pts, num_blocks)
     rest_pts, rest_idx = pool.take_rest()
-    rest_blocks = np.asarray(block_of(rest_pts), dtype=np.intp)
+    rest_blocks = _checked_block_ids(block_of, rest_pts, num_blocks)
     estimates: dict[int, float] = {}
     for b in np.unique(drawn_blocks):
         sel = np.flatnonzero(rest_blocks == b)

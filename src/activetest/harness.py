@@ -44,6 +44,7 @@ from .composition import (
     block_sample_count,
     composition_da,
     disjoint_union_da,
+    disjoint_union_plan,
     distance_to_truncated_composition,
 )
 from .core import (
@@ -53,7 +54,6 @@ from .core import (
     TargetFunction,
     WeightedSample,
     chernoff_iterations,
-    median_repetitions,
     relative_entropy,
 )
 from .intervals import (
@@ -509,8 +509,7 @@ def _build_union_da(eps: float, params: dict, rng: np.random.Generator) -> _Bund
     )
     d1, _ = exact_distance_to_intervals(stripes, 1)
     truth = 0.5 * 0.0 + 0.5 * float(d1)
-    s = chernoff_iterations(eps / 4.0, 1.0 / 9.0)
-    reps = median_repetitions(1.0 / (9.0 * s))
+    s, reps = disjoint_union_plan(eps, 2)
     if p["pool"] is not None:
         pool_size = int(p["pool"])
     else:

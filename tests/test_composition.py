@@ -20,6 +20,7 @@ from activetest import (
     choose_block_indices,
     composition_da,
     disjoint_union_da,
+    disjoint_union_plan,
     distance_to_truncated_composition,
     exact_distance_to_intervals,
     interval_block_spec,
@@ -334,8 +335,7 @@ class TestDisjointUnionDa:
 
         target = TargetFunction.from_callable(lambda x: target_fn([x])[0], target_fn)
         eps = 0.4
-        s = chernoff_iterations(eps / 4.0, 1.0 / 9.0)
-        reps = median_repetitions(1.0 / (9.0 * s))
+        s, reps = disjoint_union_plan(eps, 2)
         rng = np.random.default_rng(48)
         pool = ActivePool(rng.random(s + 2 * reps * 60 + 4000), LabelOracle(target))
 
@@ -356,6 +356,91 @@ class TestDisjointUnionDa:
             seed=49,
         )
         assert out == pytest.approx(0.2, abs=0.15)
+
+    def test_plan_bounds_distinct_blocks_not_draws(self):
+        assert disjoint_union_plan(0.1, 2) == (2313, 53)
+        assert median_repetitions(1.0 / 18.0) == 53
+        s = chernoff_iterations(0.4 / 4.0, 1.0 / 9.0)
+        assert disjoint_union_plan(0.4, 1) == (s, median_repetitions(1.0 / 9.0))
+        # more blocks than draws: at most s of them are distinct
+        old_reps = median_repetitions(1.0 / (9.0 * s))
+        assert disjoint_union_plan(0.4, s) == (s, old_reps)
+        assert disjoint_union_plan(0.4, 10 * s) == (s, old_reps)
+
+    @staticmethod
+    def _counted_run(eps, num_blocks, block_of, extra):
+        s, _ = disjoint_union_plan(eps, num_blocks)
+        pool = ActivePool(
+            np.random.default_rng(50).random(s + extra),
+            LabelOracle(TargetFunction.constant(0)),
+        )
+        calls: dict[int, int] = {}
+
+        def per_block(sub, inner_eps, inner_rng):
+            pts, _ = sub.take_rest()
+            (b,) = np.unique(block_of(pts))
+            calls[int(b)] = calls.get(int(b), 0) + 1
+            return 0.0
+
+        disjoint_union_da(
+            pool,
+            per_block,
+            eps,
+            num_blocks=num_blocks,
+            block_of=block_of,
+            block_pool_size=1,
+            seed=51,
+        )
+        return calls
+
+    def test_reps_per_distinct_block(self):
+        calls = self._counted_run(0.1, 2, _block_of_halves, 500)
+        assert calls == {0: 53, 1: 53}
+
+    def test_more_blocks_than_draws_keeps_draw_bound(self):
+        s, reps = disjoint_union_plan(0.4, 1000)
+        assert reps == median_repetitions(1.0 / (9.0 * s))
+
+        def first_block(pts):
+            return np.zeros(np.asarray(pts).shape[0], dtype=np.intp)
+
+        assert self._counted_run(0.4, 1000, first_block, reps) == {0: reps}
+
+    @pytest.mark.parametrize("bad_id", [2, -1])
+    @pytest.mark.parametrize("where", ["draws", "rest"])
+    def test_block_ids_outside_partition_rejected(self, bad_id, where):
+        eps = 0.4
+        s, _ = disjoint_union_plan(eps, 2)
+        points = np.full(s + 50, 0.25)
+        points[0 if where == "draws" else s + 10] = 7.0
+
+        def block_of(pts):
+            pts = np.asarray(pts)
+            return np.where(pts > 1.0, bad_id, _block_of_halves(pts))
+
+        pool = ActivePool(points, LabelOracle(TargetFunction.constant(0)))
+        with pytest.raises(ValueError, match="partition violation"):
+            disjoint_union_da(
+                pool,
+                lambda sub, e, r: 0.0,
+                eps,
+                num_blocks=2,
+                block_of=block_of,
+                block_pool_size=1,
+            )
+
+    @pytest.mark.parametrize("num_blocks", [0, -2, 1.0, 2.5, True, None])
+    def test_num_blocks_must_be_positive_int(self, num_blocks):
+        pool = ActivePool(np.zeros(5), LabelOracle(TargetFunction.constant(0)))
+        with pytest.raises(ValueError, match="partition violation"):
+            disjoint_union_da(
+                pool,
+                lambda sub, e, r: 0.0,
+                0.4,
+                num_blocks=num_blocks,
+                block_of=_block_of_halves,
+                block_pool_size=1,
+            )
 
     def test_eps_validation(self):
         pool = ActivePool(np.zeros(5), LabelOracle(TargetFunction.constant(0)))

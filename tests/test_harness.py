@@ -26,7 +26,7 @@ from activetest import (
     striped_union_target,
 )
 from activetest.cli import main
-from activetest.harness import _build_compose_da
+from activetest.harness import _build_compose_da, _build_union_da
 
 # noiseless periodic target: distance zero, one cheap agnostic-route trial
 _FAST_PARAMS = {"d": 4, "flips": False, "grid": 2000}
@@ -76,6 +76,42 @@ def _strip_millis(report_csv: str) -> list:
         else:
             out.append(",".join(line.split(",")[:-1]))
     return out
+
+
+# Label-bill ledger: per-trial (queries, unlabeled) of two seeded trials for
+# every registered algorithm. A change to a bill edits its row here and
+# names the proof step that allows it in the estimator's docstring.
+# union-da boosts each median over the min(s, num_blocks) distinct drawn
+# blocks, not over the s draws (disjoint_union_plan).
+_LABEL_BILLS = [
+    ("intervals-da", 0.2, {"d": 10}, (81, 81)),
+    ("intervals-da", 0.2, {"d": 400, "grid": 8000}, (44901, 3219)),
+    ("compose-da", 0.25, {"m": 30}, (3195, 6370)),
+    ("union-da", 0.1, {}, (31800, 36533)),
+    ("knn-soft", 0.3, {"n": 40, "k": 5}, (30, 0)),
+    ("knn-hard", 0.3, {"n": 40, "k": 5}, (60, 0)),
+    ("best-k", 0.3, {"n": 60, "p": 1}, (391140, 0)),
+    ("aga", 0.2, {"n": 40}, (45750, 0)),
+    ("star-hard", 0.2, {"n": 2, "k": 2, "c1": 0.2, "c2": 0.5}, (69, 0)),
+]
+
+
+class TestLabelBills:
+    def test_every_algorithm_has_a_bill(self):
+        assert sorted({row[0] for row in _LABEL_BILLS}) == registered_algorithms()
+
+    @pytest.mark.parametrize(
+        "algorithm, eps, params, bill",
+        _LABEL_BILLS,
+        ids=[f"{row[0]}-{i}" for i, row in enumerate(_LABEL_BILLS)],
+    )
+    def test_bill(self, algorithm, eps, params, bill):
+        rep = run_trials(TrialConfig(algorithm, eps=eps, trials=2, seed=7, params=params))
+        assert [(r.queries, r.unlabeled) for r in rep.rows] == [bill, bill]
+
+    def test_union_da_plan_sizes_the_pool(self):
+        info = _build_union_da(0.1, {}, np.random.default_rng(0)).info
+        assert info == {"s": 2313, "reps": 53, "pool": 36533}
 
 
 class TestRunTrials:
