@@ -35,8 +35,9 @@ class QueryAlgorithm:
     """A membership-query algorithm over a known weighted sample.
 
     `run(sample, oracle, eps, rng)` must spend labels only through `oracle`
-    and only on the sample's support (in particular never on weight-zero
-    points). `declared_queries` is optional metadata for budget cross-checks.
+    (its `query`, `query_many`, `used` and `remaining`) and only on the
+    sample's support (in particular never on weight-zero points).
+    `declared_queries` is optional metadata for budget cross-checks.
     """
 
     run: Callable[[WeightedSample, LabelOracle, float, np.random.Generator], Any]
@@ -79,49 +80,33 @@ def _run_on_empirical(
     sample = WeightedSample.uniform(draws)
     # restrict the oracle to the drawn support so a buggy query algorithm
     # cannot silently spend labels off-pool
-    support = set(np.asarray(draws).tolist())
-    restricted = _SupportRestrictedOracle(oracle, support)
-    return alg.run(sample, restricted, eps / 2.0, rng)
+    return alg.run(sample, _SupportRestrictedOracle(oracle, draws), eps / 2.0, rng)
 
 
-class _SupportRestrictedOracle(LabelOracle):
-    def __init__(self, inner: LabelOracle, support: set):
+class _SupportRestrictedOracle:
+    """A label oracle that answers only on the drawn support. It exposes no
+    target, so every label a query algorithm reads is charged."""
+
+    def __init__(self, inner: LabelOracle, support):
         self._inner = inner
-        self._support = support
+        self._support = np.asarray(support)
 
     @property
-    def used(self) -> int:  # type: ignore[override]
+    def used(self) -> int:
         return self._inner.used
 
-    @used.setter
-    def used(self, value) -> None:
-        self._inner.used = value
-
     @property
-    def budget(self):  # type: ignore[override]
-        return self._inner.budget
-
-    @budget.setter
-    def budget(self, value) -> None:
-        self._inner.budget = value
-
-    @property
-    def target(self):  # type: ignore[override]
-        return self._inner.target
-
-    @target.setter
-    def target(self, value) -> None:
-        self._inner.target = value
+    def remaining(self) -> int | None:
+        return self._inner.remaining
 
     def query_many(self, points) -> np.ndarray:
         pts = np.asarray(points)
-        for p in pts.tolist():
-            if p not in self._support:
-                raise ValueError("domain mismatch")
+        if not np.isin(pts, self._support).all():
+            raise ValueError("domain mismatch")
         return self._inner.query_many(pts)
 
     def query(self, point) -> int:
-        return int(self.query_many(np.asarray([point]))[0])
+        return int(self.query_many([point])[0])
 
 
 def activeize_pt(

@@ -1,8 +1,12 @@
 """Command line interface: seeded benchmark runs, star instance
 generation, and the acceptance suite.
 
+One trial subcommand per algorithm in the harness registry, with its flags,
+--constants keys and default eps taken from the algorithm's declaration.
+
 Exit codes: 0 on success, 2 on configuration errors (including argparse
-usage errors), 3 when run-suite finds a failing criterion.
+usage errors and a pool too small for the run), 3 when run-suite finds a
+failing criterion.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ from .bandit import (
     star_instance_to_json,
     star_metadata,
 )
+from .core import InsufficientPoolError
 from .harness import (
+    _REGISTRY,
     TrialConfig,
     TrialReport,
     acceptance_passed,
-    bundled_best_k,
+    check_params,
     run_acceptance,
     run_trials,
 )
@@ -47,44 +53,19 @@ def _parse_constants(text: str) -> dict[str, float]:
     return out
 
 
-_INT_CONSTANTS = {"m", "noisy_blocks", "pool", "block_pool", "n", "grid"}
-
-# constants accepted by each trial subcommand, mapped straight into the
-# bundled instance parameters / algorithm constants
-_TRIAL_CONSTANTS = {
-    "intervals-da": {"unlabeled", "agnostic", "label", "grid", "flips"},
-    "compose-da": {"m", "lam", "mu", "noisy_blocks", "pool"},
-    "union-da": {"block_pool", "pool"},
-    "knn-soft": {"n", "flip"},
-    "knn-hard": {"n"},
-    "best-k": {"n", "flip"},
-    "aga": {"n", "gamma", "good_frac"},
-}
+# registry parameters with these names are trial flags; every other one is
+# a --constants key
+_FLAGS = ("d", "k", "p")
 
 
 def _trial_config(args: argparse.Namespace) -> TrialConfig:
+    declared = _REGISTRY[args.command].params
     consts = _parse_constants(args.constants)
-    allowed = _TRIAL_CONSTANTS[args.command]
     for key in consts:
-        if key not in allowed:
+        if key not in declared or key in _FLAGS:
             raise ValueError(f"unknown constant: {key}")
-    params: dict = {}
-    for key, val in consts.items():
-        if key in _INT_CONSTANTS:
-            params[key] = int(val)
-        elif key == "flips":
-            params[key] = bool(val)
-        else:
-            params[key] = val
-    if args.command == "intervals-da":
-        params["d"] = args.d
-    elif args.command == "knn-soft":
-        params["k"] = args.k
-        params["p"] = args.p
-    elif args.command == "knn-hard":
-        params["k"] = args.k
-    elif args.command == "best-k":
-        params["p"] = args.p
+    params = check_params(args.command, consts)
+    params.update({key: getattr(args, key) for key in _FLAGS if key in declared})
     return TrialConfig(
         args.command,
         eps=args.eps,
@@ -112,14 +93,9 @@ def _print_report(rep: TrialReport) -> None:
 def _run_trial_command(args: argparse.Namespace) -> int:
     config = _trial_config(args)
     rep = run_trials(config)
-    if args.command == "best-k":
-        k_star, table, loss = bundled_best_k(
-            args.eps, args.p, seed=args.seed, n=int(config.params.get("n", 200))
-        )
-        print(f"k_star={k_star} exact_loss_at_choice={loss:.4f} exact_best={rep.rows[0].truth:.4f}")
-        print("grid table (k, estimate):")
-        for k, est in table:
-            print(f"  {k:4d} {est:.4f}")
+    notes = _REGISTRY[args.command].notes
+    if notes is not None:
+        print("\n".join(notes(config)))
     _print_report(rep)
     if args.out is not None:
         rep.write(args.out)
@@ -218,31 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="key=value[,key=value] instance and constant overrides",
         )
 
-    sp = sub.add_parser("intervals-da", help="interval-union distance approximation")
-    sp.add_argument("--d", type=int, default=100, help="interval budget")
-    common(sp, eps=0.1)
-
-    sp = sub.add_parser("compose-da", help="blockwise composition distance approximation")
-    common(sp, eps=0.15)
-
-    sp = sub.add_parser("union-da", help="disjoint-union distance approximation")
-    common(sp, eps=0.1)
-
-    sp = sub.add_parser("knn-soft", help="soft k-NN p-th power loss estimation")
-    sp.add_argument("--k", type=int, default=25)
-    sp.add_argument("--p", type=int, default=2)
-    common(sp, eps=0.1)
-
-    sp = sub.add_parser("knn-hard", help="hard k-NN error estimation")
-    sp.add_argument("--k", type=int, default=25)
-    common(sp, eps=0.1)
-
-    sp = sub.add_parser("best-k", help="search for a near-best neighbor count")
-    sp.add_argument("--p", type=int, default=2)
-    common(sp, eps=0.2)
-
-    sp = sub.add_parser("aga", help="good-arm fraction estimation")
-    common(sp, eps=0.05)
+    for name, entry in _REGISTRY.items():
+        sp = sub.add_parser(name, help=entry.help)
+        for key in _FLAGS:
+            if key in entry.params:
+                typ, default = entry.params[key]
+                sp.add_argument(f"--{key}", type=typ, default=default)
+        common(sp, eps=entry.eps)
 
     sp = sub.add_parser("gen-star-soft", help="generate a soft star instance (JSON)")
     sp.add_argument("--p", type=int, default=1)
@@ -261,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "intervals-da": _run_trial_command,
-    "compose-da": _run_trial_command,
-    "union-da": _run_trial_command,
-    "knn-soft": _run_trial_command,
-    "knn-hard": _run_trial_command,
-    "best-k": _run_trial_command,
-    "aga": _run_trial_command,
     "gen-star-soft": _run_gen_star,
     "gen-star-hard": _run_gen_star,
     "run-suite": _run_suite,
@@ -278,8 +229,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ValueError as exc:
+        return _HANDLERS.get(args.command, _run_trial_command)(args)
+    except (ValueError, InsufficientPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,25 +54,20 @@ ORACLE_REPETITIONS = 3
 class CompositionSpec:
     """Blockwise structure of a composition property.
 
-    block_cost(i, sample_i, k) is the exact distance of block i's labeled
-    sample to its class at parameter k; it must be non-increasing in k and
-    defined at k=0 (the zero-parameter class is nonempty). block_of maps
-    points to block indices. block_cost_curve, when provided, returns the
-    whole vector [cost(0..kmax)] in one call.
+    block_cost_curve(i, sample_i, kmax) returns the vector [cost(0..kmax)],
+    cost(k) being the exact distance of block i's labeled sample to its
+    class at parameter k; it must be non-increasing in k and defined at k=0
+    (the zero-parameter class is nonempty). block_of maps points to block
+    indices.
     """
 
     num_blocks: int
-    block_cost: Callable[[int, WeightedSample, int], float]
+    block_cost_curve: Callable[[int, WeightedSample, int], np.ndarray]
     block_of: Callable[[np.ndarray], np.ndarray] | None = None
-    block_cost_curve: Callable[[int, WeightedSample, int], np.ndarray] | None = None
     zero_class_nonempty: bool = True
 
     def cost_curve(self, i: int, sample_i: WeightedSample, kmax: int) -> np.ndarray:
-        if self.block_cost_curve is not None:
-            return np.asarray(self.block_cost_curve(i, sample_i, kmax), dtype=float)
-        return np.asarray(
-            [self.block_cost(i, sample_i, k) for k in range(kmax + 1)], dtype=float
-        )
+        return np.asarray(self.block_cost_curve(i, sample_i, kmax), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -106,12 +101,7 @@ def at_most_k_ones_spec(num_blocks: int, block_of=None) -> CompositionSpec:
         out = total - saved[np.minimum(np.arange(kmax + 1), len(ones_sorted))]
         return np.maximum(out, 0.0)
 
-    def cost(i, sample_i, k):
-        return float(curve(i, sample_i, k)[k])
-
-    return CompositionSpec(
-        num_blocks=num_blocks, block_cost=cost, block_of=block_of, block_cost_curve=curve
-    )
+    return CompositionSpec(num_blocks=num_blocks, block_cost_curve=curve, block_of=block_of)
 
 
 def distance_to_truncated_composition(
@@ -245,12 +235,7 @@ def composition_da(
     remap[chosen] = np.arange(l)
     sub_spec = CompositionSpec(
         num_blocks=l,
-        block_cost=lambda j, s, k: spec.block_cost(int(chosen[j]), s, k),
-        block_cost_curve=(
-            None
-            if spec.block_cost_curve is None
-            else lambda j, s, kmax: spec.block_cost_curve(int(chosen[j]), s, kmax)
-        ),
+        block_cost_curve=lambda j, s, kmax: spec.block_cost_curve(int(chosen[j]), s, kmax),
     )
     budget = TruncatedBudget(total=d_knap, cap=t_cap)
     estimates = []
@@ -288,10 +273,12 @@ def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
 
 
 def _checked_block_ids(block_of, points: np.ndarray, num_blocks: int) -> np.ndarray:
-    ids = np.asarray(block_of(points), dtype=np.intp)
+    ids = np.asarray(block_of(points))
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError("partition violation")
     if ids.shape != points.shape[:1] or np.any(ids < 0) or np.any(ids >= num_blocks):
         raise ValueError("partition violation")
-    return ids
+    return ids.astype(np.intp, copy=False)
 
 
 def disjoint_union_da(
@@ -314,9 +301,10 @@ def disjoint_union_da(
     slice of block_pool_size pool points from that block. One estimate is
     cached per distinct block, so the union bound runs over those blocks,
     not over the s draws (:func:`disjoint_union_plan`): at eps=0.1 with two
-    blocks that is 53 repetitions instead of 179. Blocks without enough pool
-    points contribute 0. Returns the mean estimate over the s draws.
-    block_of must map every pool point into [0, num_blocks).
+    blocks that is 53 repetitions instead of 179. Returns the mean estimate
+    over the s draws. block_of must map every pool point to an integer id
+    in [0, num_blocks); a drawn block with fewer than reps *
+    block_pool_size pool points left raises InsufficientPoolError.
     """
     s, reps = disjoint_union_plan(eps, num_blocks)
     rng = as_generator(seed)
@@ -328,8 +316,7 @@ def disjoint_union_da(
     for b in np.unique(drawn_blocks):
         sel = np.flatnonzero(rest_blocks == b)
         if sel.shape[0] < reps * block_pool_size:
-            estimates[int(b)] = 0.0
-            continue
+            raise InsufficientPoolError("insufficient pool")
         vals = []
         for r in range(reps):
             part = sel[r * block_pool_size : (r + 1) * block_pool_size]

@@ -21,7 +21,6 @@ __all__ = [
     "ActivePool",
     "WeightedSample",
     "Distribution",
-    "query_label",
     "empirical_distance",
     "relative_entropy",
     "chernoff_iterations",
@@ -123,11 +122,6 @@ class LabelOracle:
     @property
     def remaining(self) -> int | None:
         return None if self.budget is None else self.budget - self.used
-
-
-def query_label(oracle: LabelOracle, point) -> int:
-    """Query one label, spending one unit of the oracle's budget."""
-    return oracle.query(point)
 
 
 class ActivePool:

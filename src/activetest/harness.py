@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -57,6 +58,9 @@ from .core import (
     relative_entropy,
 )
 from .intervals import (
+    AGNOSTIC_SAMPLE_CONSTANT,
+    COMPOSITION_LABEL_CONSTANT,
+    UNLABELED_SAMPLE_CONSTANT,
     exact_distance_to_intervals,
     interval_block_spec,
     interval_da,
@@ -82,6 +86,7 @@ __all__ = [
     "TrialReport",
     "run_trials",
     "registered_algorithms",
+    "check_params",
     "noisy_interval_target",
     "grid_interval_sample",
     "block_noise_target",
@@ -106,9 +111,10 @@ ENUMERATION_LIMIT = 100_000
 class TrialConfig:
     """One batch experiment: an algorithm id, its accuracy, and a seed.
 
-    ``params`` selects and sizes the bundled instance family; ``tolerance``
-    overrides the success threshold, which defaults to ``eps`` (the star
-    reduction installs its own wider default).
+    ``params`` selects and sizes the bundled instance family and is checked
+    against the algorithm's declared table (:func:`check_params`) when the
+    bundle is built; ``tolerance`` overrides the success threshold, which
+    defaults to ``eps`` (the star reduction installs its own wider default).
     """
 
     algorithm: str
@@ -271,15 +277,6 @@ class TrialReport:
 # bundled instance families
 
 
-def _merge_params(params: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    for key, val in params.items():
-        if key not in out:
-            raise ValueError(f"invalid parameter: {key}")
-        out[key] = val
-    return out
-
-
 def noisy_interval_target(d: int, flips: bool = True) -> TargetFunction:
     """Union of d intervals, one per period of width 1/d, each period
     optionally carrying a detached noise stripe.
@@ -420,56 +417,115 @@ class _Bundle:
     info: dict = field(default_factory=dict)
 
 
-def _build_intervals_da(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(
-        params,
-        {
-            "d": 100,
-            "grid": None,
-            "flips": True,
-            "unlabeled": None,
-            "agnostic": None,
-            "label": None,
-        },
-    )
-    d = int(p["d"])
-    target = noisy_interval_target(d, flips=bool(p["flips"]))
+class _Algorithm(NamedTuple):
+    """A registry entry: the checked bundle builder, its declared parameters
+    ``{key: (type, default)}`` (default ``None`` means derived), the CLI's
+    default eps and one-line help, and optional extra lines the CLI prints
+    before the report."""
+
+    build: Callable[[float, dict, np.random.Generator], _Bundle]
+    params: dict[str, tuple[type, object]]
+    eps: float
+    help: str
+    notes: Callable[[TrialConfig], list[str]] | None = None
+
+
+_REGISTRY: dict[str, _Algorithm] = {}
+
+
+def _typed(key: str, val, typ: type, default):
+    if val is None and default is None:
+        return None
+    if isinstance(val, numbers.Real):
+        if typ is bool:
+            if val in (0, 1):
+                return bool(val)
+        elif not isinstance(val, bool):
+            if typ is float:
+                return float(val)
+            if isinstance(val, numbers.Integral) or float(val).is_integer():
+                return int(val)
+    raise ValueError(f"invalid parameter: {key}")
+
+
+def check_params(algorithm: str, params: dict) -> dict:
+    """``params`` typed against ``algorithm``'s declared table: an int key
+    takes an int or an integral float, a bool key 0/1 or True/False, a float
+    key any real, and a key whose default is derived also takes None; an
+    unknown key or any other value raises ``invalid parameter: <key>``."""
+    if algorithm not in _REGISTRY:
+        raise ValueError("unknown algorithm")
+    table = _REGISTRY[algorithm].params
+    out = {}
+    for key, val in params.items():
+        if key not in table:
+            raise ValueError(f"invalid parameter: {key}")
+        out[key] = _typed(key, val, *table[key])
+    return out
+
+
+def _algorithm(name: str, cli_eps: float, help: str, notes=None, /, **params):
+    """Register the decorated builder under ``name`` with its declared
+    parameters ``key=(type, default)``, the CLI's default eps, one-line help
+    and optional notes. The registered (and returned) builder fills in the
+    defaults and type-checks the raw params once, so the builder body reads
+    a complete, typed dict."""
+
+    def register(build):
+        def checked(eps: float, given: dict, rng: np.random.Generator) -> _Bundle:
+            typed = {key: default for key, (_, default) in params.items()}
+            typed.update(check_params(name, given))
+            return build(eps, typed, rng)
+
+        _REGISTRY[name] = _Algorithm(checked, params, cli_eps, help, notes)
+        return checked
+
+    return register
+
+
+@_algorithm(
+    "intervals-da", 0.1, "interval-union distance approximation",
+    d=(int, 100), grid=(int, None), flips=(bool, True),
+    unlabeled=(float, UNLABELED_SAMPLE_CONSTANT),
+    agnostic=(float, AGNOSTIC_SAMPLE_CONSTANT),
+    label=(float, COMPOSITION_LABEL_CONSTANT),
+)
+def _build_intervals_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    d = p["d"]
+    target = noisy_interval_target(d, flips=p["flips"])
     # the target's edges sit at multiples of 1/20 of a period, so a grid of
     # 20*d*j cells puts each on a cell boundary and the grid truth is exact
     period_cells = 20 * d
-    if p["grid"] is None:
+    grid = p["grid"]
+    if grid is None:
         grid = period_cells * math.ceil(100_000 / period_cells)
-    else:
-        grid = int(p["grid"])
-        if grid < 1 or grid % period_cells:
-            raise ValueError("invalid parameter")
+    elif grid < 1 or grid % period_cells:
+        raise ValueError("invalid parameter")
     truth, _ = exact_distance_to_intervals(grid_interval_sample(target, grid), d)
-    kwargs = {}
-    if p["unlabeled"] is not None:
-        kwargs["unlabeled_constant"] = float(p["unlabeled"])
-    if p["agnostic"] is not None:
-        kwargs["agnostic_constant"] = float(p["agnostic"])
-    if p["label"] is not None:
-        kwargs["label_constant"] = float(p["label"])
 
     def run(trial_rng: np.random.Generator):
         res = interval_da(
-            Distribution.uniform01(), target, eps, d, seed=trial_rng, **kwargs
+            Distribution.uniform01(),
+            target,
+            eps,
+            d,
+            seed=trial_rng,
+            unlabeled_constant=p["unlabeled"],
+            agnostic_constant=p["agnostic"],
+            label_constant=p["label"],
         )
         return res.alpha_hat, res.queries_used, res.unlabeled_used
 
     return _Bundle(float(truth), run, info={"d": d})
 
 
-def _build_compose_da(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(
-        params,
-        {"m": 40, "lam": 2.0, "mu": 0.5, "noisy_blocks": None, "pool": None},
-    )
-    m = int(p["m"])
-    lam = float(p["lam"])
-    mu = float(p["mu"])
-    noisy = m // 2 if p["noisy_blocks"] is None else int(p["noisy_blocks"])
+@_algorithm(
+    "compose-da", 0.15, "blockwise composition distance approximation",
+    m=(int, 40), lam=(float, 2.0), mu=(float, 0.5), noisy_blocks=(int, None), pool=(int, None),
+)
+def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    m, lam, mu = p["m"], p["lam"], p["mu"]
+    noisy = m // 2 if p["noisy_blocks"] is None else p["noisy_blocks"]
     if not (0 <= noisy <= m):
         raise ValueError("invalid parameter")
     mask = np.zeros(m, dtype=bool)
@@ -482,9 +538,8 @@ def _build_compose_da(eps: float, params: dict, rng: np.random.Generator) -> _Bu
     truth = distance_to_truncated_composition(
         sample, ids, spec, TruncatedBudget(total=lam * m, cap=cap)
     )
-    if p["pool"] is not None:
-        pool_size = int(p["pool"])
-    else:
+    pool_size = p["pool"]
+    if pool_size is None:
         l = min(m, block_sample_count(eps, mu))
         d_knap = max(1, math.floor((1.0 + mu / 2.0) * lam * l))
         erm_scale = ERM_SAMPLE_CONSTANT * 2.0 * d_knap
@@ -500,9 +555,12 @@ def _build_compose_da(eps: float, params: dict, rng: np.random.Generator) -> _Bu
     return _Bundle(float(truth), run, info={"m": m, "lam": lam, "pool": pool_size})
 
 
-def _build_union_da(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(params, {"block_pool": 300, "pool": None})
-    block_pool = int(p["block_pool"])
+@_algorithm(
+    "union-da", 0.1, "disjoint-union distance approximation",
+    block_pool=(int, 300), pool=(int, None),
+)
+def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    block_pool = p["block_pool"]
     target = striped_union_target()
     stripes = WeightedSample(
         0.55 + 0.1 * np.arange(5), np.full(5, 0.2), np.array([1, 0, 1, 0, 1])
@@ -510,9 +568,8 @@ def _build_union_da(eps: float, params: dict, rng: np.random.Generator) -> _Bund
     d1, _ = exact_distance_to_intervals(stripes, 1)
     truth = 0.5 * 0.0 + 0.5 * float(d1)
     s, reps = disjoint_union_plan(eps, 2)
-    if p["pool"] is not None:
-        pool_size = int(p["pool"])
-    else:
+    pool_size = p["pool"]
+    if pool_size is None:
         pool_size = s + math.ceil(2.12 * reps * block_pool) + 512
 
     def run(trial_rng: np.random.Generator):
@@ -537,13 +594,16 @@ def _threshold_labels(coords: np.ndarray, flip: float, rng: np.random.Generator)
     return base ^ (rng.random(coords.shape[0]) < flip).astype(np.int8)
 
 
-def _build_knn_soft(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(params, {"n": 500, "k": 25, "p": 2, "flip": 0.2})
-    n, k, power = int(p["n"]), int(p["k"]), int(p["p"])
+@_algorithm(
+    "knn-soft", 0.1, "soft k-NN p-th power loss estimation",
+    n=(int, 500), k=(int, 25), p=(int, 2), flip=(float, 0.2),
+)
+def _build_knn_soft(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    n, k, power = p["n"], p["k"], p["p"]
     if n > ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
     coords = rng.random(n)
-    labels = _threshold_labels(coords, float(p["flip"]), rng)
+    labels = _threshold_labels(coords, p["flip"], rng)
     space = MetricSpace.euclidean1d(coords)
     ids = np.arange(n)
     tf = TargetFunction.from_labels(labels)
@@ -559,9 +619,9 @@ def _build_knn_soft(eps: float, params: dict, rng: np.random.Generator) -> _Bund
     return _Bundle(float(truth), run, info={"n": n, "k": k, "p": power})
 
 
-def _build_knn_hard(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(params, {"n": 500, "k": 25})
-    n, k = int(p["n"]), int(p["k"])
+@_algorithm("knn-hard", 0.1, "hard k-NN error estimation", n=(int, 500), k=(int, 25))
+def _build_knn_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    n, k = p["n"], p["k"]
     if n > ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
     if n < 2 or n % 2:
@@ -585,15 +645,35 @@ def _build_knn_hard(eps: float, params: dict, rng: np.random.Generator) -> _Bund
     return _Bundle(float(truth), run, info={"n": n, "k": k})
 
 
-def _build_best_k(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(params, {"n": 200, "p": 2, "flip": 0.15})
-    n, power = int(p["n"]), int(p["p"])
+def _best_k_search(config: TrialConfig) -> tuple[int, list[tuple[int, float]], float, float]:
+    """One search on the bundled best-k instance with trial 0's seed: the
+    chosen k, the (k, estimate) table, the exact loss at the choice and the
+    exact best loss."""
+    bundle, trial_seqs = _build_bundle(config)
+    k_star, table, _ = bundle.info["search"](np.random.default_rng(trial_seqs[0]))
+    return k_star, table, float(bundle.info["truth_table"][k_star - 1]), bundle.truth
+
+
+def _best_k_notes(config: TrialConfig) -> list[str]:
+    k_star, table, loss, best = _best_k_search(config)
+    return [
+        f"k_star={k_star} exact_loss_at_choice={loss:.4f} exact_best={best:.4f}",
+        "grid table (k, estimate):",
+    ] + [f"  {k:4d} {est:.4f}" for k, est in table]
+
+
+@_algorithm(
+    "best-k", 0.2, "search for a near-best neighbor count", _best_k_notes,
+    n=(int, 200), p=(int, 2), flip=(float, 0.15),
+)
+def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    n, power = p["n"], p["p"]
     if 2 * n > ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
     # Held-out test half: a point must not count itself among its own
     # neighbors, or k=1 would win every search with loss zero.
     coords = rng.random(2 * n)
-    labels = _threshold_labels(coords, float(p["flip"]), rng)
+    labels = _threshold_labels(coords, p["flip"], rng)
     space = MetricSpace.euclidean1d(coords)
     pool = np.arange(n)
     test_ids = np.arange(n, 2 * n)
@@ -625,10 +705,13 @@ def _build_best_k(eps: float, params: dict, rng: np.random.Generator) -> _Bundle
     )
 
 
-def _build_aga(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(params, {"n": 200, "gamma": 0.1, "good_frac": 0.5})
-    n, gamma = int(p["n"]), float(p["gamma"])
-    good = int(round(float(p["good_frac"]) * n))
+@_algorithm(
+    "aga", 0.05, "good-arm fraction estimation",
+    n=(int, 200), gamma=(float, 0.1), good_frac=(float, 0.5),
+)
+def _build_aga(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    n, gamma = p["n"], p["gamma"]
+    good = int(round(p["good_frac"] * n))
     means = np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
     truth = good / n
 
@@ -640,14 +723,16 @@ def _build_aga(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
     return _Bundle(float(truth), run, info={"n": n, "gamma": gamma})
 
 
-def _build_star_hard(eps: float, params: dict, rng: np.random.Generator) -> _Bundle:
-    p = _merge_params(
-        params, {"n": 8, "k": 5, "gamma": 0.3, "good_frac": 0.5, "c1": 1.5, "c2": 0.01}
-    )
-    n, k, gamma = int(p["n"]), int(p["k"]), float(p["gamma"])
-    good = int(round(float(p["good_frac"]) * n))
+@_algorithm(
+    "star-hard", 0.15, "good-arm fraction recovered from star-instance k-NN error",
+    n=(int, 8), k=(int, 5), gamma=(float, 0.3), good_frac=(float, 0.5),
+    c1=(float, 1.5), c2=(float, 0.01),
+)
+def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
+    n, k, gamma = p["n"], p["k"], p["gamma"]
+    good = int(round(p["good_frac"] * n))
     means = np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
-    si = build_star_instance_hard(n, means, k, eps, (float(p["c1"]), float(p["c2"])), seed=rng)
+    si = build_star_instance_hard(n, means, k, eps, (p["c1"], p["c2"]), seed=rng)
     if si.instance.space.n > 2 * ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
     exact = star_exact_hard_error(si, k)
@@ -668,18 +753,6 @@ def _build_star_hard(eps: float, params: dict, rng: np.random.Generator) -> _Bun
     )
 
 
-_REGISTRY: dict[str, Callable[[float, dict, np.random.Generator], _Bundle]] = {
-    "intervals-da": _build_intervals_da,
-    "compose-da": _build_compose_da,
-    "union-da": _build_union_da,
-    "knn-soft": _build_knn_soft,
-    "knn-hard": _build_knn_hard,
-    "best-k": _build_best_k,
-    "aga": _build_aga,
-    "star-hard": _build_star_hard,
-}
-
-
 def registered_algorithms() -> list[str]:
     return sorted(_REGISTRY)
 
@@ -688,7 +761,7 @@ def _build_bundle(config: TrialConfig) -> tuple[_Bundle, list]:
     if config.algorithm not in _REGISTRY:
         raise ValueError("unknown algorithm")
     seqs = np.random.SeedSequence(config.seed).spawn(config.trials + 1)
-    bundle = _REGISTRY[config.algorithm](
+    bundle = _REGISTRY[config.algorithm].build(
         config.eps, config.params, np.random.default_rng(seqs[0])
     )
     return bundle, seqs[1:]
@@ -734,14 +807,13 @@ def run_trials(config: TrialConfig, *, workers: int = 1) -> TrialReport:
 
 
 def bundled_best_k(
-    eps: float, p: int, seed: int = 0, n: int = 200
+    eps: float, p: int, seed: int = 0, n: int | None = None
 ) -> tuple[int, list[tuple[int, float]], float]:
-    """Run one neighbor-count search on the bundled instance; returns the
-    chosen k, the (k, estimate) table, and the exact loss at the choice."""
-    config = TrialConfig("best-k", eps=eps, seed=seed, params={"n": n, "p": p})
-    bundle, trial_seqs = _build_bundle(config)
-    k_star, table, _ = bundle.info["search"](np.random.default_rng(trial_seqs[0]))
-    return k_star, table, float(bundle.info["truth_table"][k_star - 1])
+    """Run one neighbor-count search on the bundled instance (``n`` points,
+    the registry's default when None); returns the chosen k, the
+    (k, estimate) table, and the exact loss at the choice."""
+    params = {"p": p} if n is None else {"n": n, "p": p}
+    return _best_k_search(TrialConfig("best-k", eps=eps, seed=seed, params=params))[:3]
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,10 @@ def interval_block_spec(m: int) -> CompositionSpec:
             sample_i.points, sample_i.weights, sample_i.labels, kmax
         )
 
-    def cost(i, sample_i, k):
-        return float(curve(i, sample_i, k)[k])
-
     return CompositionSpec(
         num_blocks=m,
-        block_cost=cost,
-        block_of=lambda pts: uniform_block_index(pts, m),
         block_cost_curve=curve,
+        block_of=lambda pts: uniform_block_index(pts, m),
     )
 
 

@@ -61,7 +61,7 @@ class TestAtMostKOnesSpec:
         )
         curve = spec.cost_curve(0, s, 4)
         np.testing.assert_allclose(curve, [0.8, 0.4, 0.1, 0.0, 0.0])
-        assert spec.block_cost(0, s, 2) == pytest.approx(0.1)
+        assert spec.cost_curve(0, s, 2)[2] == pytest.approx(0.1)
 
 
 def _brute_truncated(sample, ids, spec, budget):
@@ -143,7 +143,6 @@ class TestTruncatedDistance:
                 curves.append(np.concatenate((head, tail))[: cap + 1])
             spec = CompositionSpec(
                 num_blocks=m,
-                block_cost=lambda i, s, k: float(curves[i][k]),
                 block_cost_curve=lambda i, s, kmax: curves[i][: kmax + 1],
             )
             sample = WeightedSample.uniform(rng.random(m), labels=np.zeros(m, dtype=int))
@@ -185,7 +184,9 @@ class TestTruncatedDistance:
 
     def test_empty_zero_class_rejected(self):
         spec = CompositionSpec(
-            num_blocks=1, block_cost=lambda i, s, k: 0.0, zero_class_nonempty=False
+            num_blocks=1,
+            block_cost_curve=lambda i, s, kmax: np.zeros(kmax + 1),
+            zero_class_nonempty=False,
         )
         s = WeightedSample.uniform(np.zeros(1), labels=[0])
         with pytest.raises(ValueError, match="invalid class parameter"):
@@ -196,7 +197,7 @@ class TestTruncatedDistance:
     def test_non_monotone_curve_rejected(self):
         spec = CompositionSpec(
             num_blocks=1,
-            block_cost=lambda i, s, k: float(k),  # increasing: invalid
+            block_cost_curve=lambda i, s, kmax: np.arange(kmax + 1.0),  # increasing: invalid
         )
         s = WeightedSample.uniform(np.zeros(2), labels=[0, 1])
         with pytest.raises(ValueError, match="invalid class parameter"):
@@ -278,7 +279,9 @@ class TestCompositionDa:
             composition_da(pool, spec, 1.0, 0.3, 0.0)
         with pytest.raises(ValueError, match="invalid parameter"):
             composition_da(pool, spec, 0.0, 0.3, 0.5)
-        no_partition = CompositionSpec(num_blocks=4, block_cost=lambda i, s, k: 0.0)
+        no_partition = CompositionSpec(
+            num_blocks=4, block_cost_curve=lambda i, s, kmax: np.zeros(kmax + 1)
+        )
         with pytest.raises(ValueError, match="partition violation"):
             composition_da(pool, no_partition, 1.0, 0.3, 0.5)
 
@@ -311,19 +314,19 @@ class TestDisjointUnionDa:
         expected = float(np.mean(np.where(points[:s] >= 0.5, 0.4, 0.0)))
         assert out == pytest.approx(expected, abs=1e-12)
 
-    def test_blocks_without_enough_points_contribute_zero(self):
+    def test_blocks_without_enough_points_raise(self):
         rng = np.random.default_rng(46)
         pool = ActivePool(rng.random(300), LabelOracle(TargetFunction.constant(0)))
-        out = disjoint_union_da(
-            pool,
-            lambda sub, e, r: 1.0,
-            0.4,
-            num_blocks=2,
-            block_of=_block_of_halves,
-            block_pool_size=10**6,
-            seed=47,
-        )
-        assert out == 0.0
+        with pytest.raises(InsufficientPoolError, match="insufficient pool"):
+            disjoint_union_da(
+                pool,
+                lambda sub, e, r: 1.0,
+                0.4,
+                num_blocks=2,
+                block_of=_block_of_halves,
+                block_pool_size=10**6,
+                seed=47,
+            )
 
     def test_interval_blocks_end_to_end(self):
         # left half constant 0, right half striped: union distance 0.2 at d=1
@@ -426,6 +429,21 @@ class TestDisjointUnionDa:
                 eps,
                 num_blocks=2,
                 block_of=block_of,
+                block_pool_size=1,
+            )
+
+    def test_non_integer_block_ids_rejected(self):
+        # ids in [0, 1.9) would truncate to 0 and 1, inside the partition
+        pool = ActivePool(
+            np.random.default_rng(52).random(3000), LabelOracle(TargetFunction.constant(0))
+        )
+        with pytest.raises(ValueError, match="partition violation"):
+            disjoint_union_da(
+                pool,
+                lambda sub, e, r: 0.0,
+                0.4,
+                num_blocks=2,
+                block_of=lambda p: p * 1.9,
                 block_pool_size=1,
             )
 

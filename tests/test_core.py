@@ -15,7 +15,6 @@ from activetest import (
     chernoff_iterations,
     empirical_distance,
     median_repetitions,
-    query_label,
     relative_entropy,
 )
 from activetest.core import as_generator, spawn_seeds
@@ -58,7 +57,7 @@ class TestLabelOracle:
 
     def test_budget_enforced(self):
         oracle = LabelOracle(TargetFunction.constant(1), budget=2)
-        assert query_label(oracle, 0.1) == 1
+        assert oracle.query(0.1) == 1
         assert oracle.remaining == 1
         with pytest.raises(BudgetExceededError):
             oracle.query_many([0.1, 0.2])

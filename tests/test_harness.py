@@ -25,8 +25,8 @@ from activetest import (
     run_trials,
     striped_union_target,
 )
-from activetest.cli import main
-from activetest.harness import _build_compose_da, _build_union_da
+from activetest.cli import _trial_config, build_parser, main
+from activetest.harness import _REGISTRY, _build_compose_da, _build_union_da, check_params
 
 # noiseless periodic target: distance zero, one cheap agnostic-route trial
 _FAST_PARAMS = {"d": 4, "flips": False, "grid": 2000}
@@ -171,6 +171,20 @@ class TestRunTrials:
     def test_unknown_instance_parameter(self):
         with pytest.raises(ValueError, match="invalid parameter: radius"):
             run_trials(TrialConfig("aga", eps=0.2, params={"radius": 3}))
+
+    def test_fractional_int_parameter_rejected(self):
+        with pytest.raises(ValueError, match="invalid parameter: grid"):
+            run_trials(TrialConfig("intervals-da", 0.2, params={"d": 4, "grid": 2000.5}))
+
+    def test_parameters_typed_by_declaration(self):
+        typed = check_params("intervals-da", {"d": 4.0, "flips": 0, "grid": None, "label": 1})
+        assert typed == {"d": 4, "flips": False, "grid": None, "label": 1.0}
+        assert [type(v) for v in typed.values()] == [int, bool, type(None), float]
+        assert check_params("intervals-da", {"flips": True}) == {"flips": True}
+        for bad in ({"d": True}, {"d": None}, {"d": float("inf")}, {"flips": 2}, {"label": "1"}):
+            (key,) = bad
+            with pytest.raises(ValueError, match=f"invalid parameter: {key}"):
+                check_params("intervals-da", bad)
 
     def test_truth_oracle_guard(self):
         with pytest.raises(ValueError, match="truth oracle unavailable"):
@@ -369,6 +383,44 @@ class TestCli:
     def test_unknown_constant_exits_2(self, capsys):
         assert main(["aga", "--constants", "bogus=1"]) == 2
         assert "unknown constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, constant", [("union-da", "block_pool=299.9"), ("intervals-da", "flips=2")]
+    )
+    def test_invalid_constant_value_exits_2(self, command, constant, capsys):
+        assert main([command, "--constants", constant]) == 2
+        key = constant.split("=")[0]
+        assert f"error: invalid parameter: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["union-da", "--eps", "0.1", "--trials", "3", "--seed", "1", "--constants", "pool=5000"],
+            ["compose-da", "--constants", "pool=500"],
+        ],
+    )
+    def test_short_pool_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: insufficient pool" in capsys.readouterr().err
+
+    def test_star_hard_subcommand(self, capsys):
+        assert main(["star-hard", "--trials", "1"]) == 0
+        assert "star-hard eps=0.15 trials=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", registered_algorithms())
+    def test_constant_keys_are_declared_params_minus_flags(self, algorithm):
+        declared = _REGISTRY[algorithm].params
+        flags = {"d", "k", "p"} & set(declared)
+        constants = sorted(set(declared) - flags)
+        parser = build_parser()
+        args = parser.parse_args([algorithm, "--constants", ",".join(f"{k}=1" for k in constants)])
+        params = _trial_config(args).params
+        assert set(params) == set(declared)
+        assert all(params[key] == declared[key][1] for key in flags)
+        for key in sorted(flags) + ["bogus"]:
+            args = parser.parse_args([algorithm, "--constants", f"{key}=1"])
+            with pytest.raises(ValueError, match=f"unknown constant: {key}"):
+                _trial_config(args)
 
     def test_malformed_constant_exits_2(self):
         assert main(["aga", "--constants", "gamma"]) == 2
