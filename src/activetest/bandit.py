@@ -44,6 +44,7 @@ from .knn import KnnInstance, MetricSpace
 __all__ = [
     "ArmSet",
     "StarInstance",
+    "good_arm_means",
     "pull",
     "pull_many",
     "aga_schedule",
@@ -101,6 +102,13 @@ class ArmSet:
         if np.any(gap < gamma - 1e-12):
             raise ValueError("parameter regime violated")
         return self.means >= 0.5
+
+
+def good_arm_means(n: int, gamma: float, good_frac: float) -> np.ndarray:
+    """Means of n arms: the first round(good_frac*n) are good at 1/2+gamma,
+    the rest bad at 1/2-gamma."""
+    good = int(round(good_frac * n))
+    return np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
 
 
 def pull(arms: ArmSet, i: int, seed: int | None | np.random.Generator = None) -> int:

@@ -16,11 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bandit import (
     build_star_instance_hard,
     build_star_instance_soft,
+    good_arm_means,
     star_instance_to_json,
     star_metadata,
 )
@@ -128,13 +127,12 @@ def _run_gen_star(args: argparse.Namespace) -> int:
         for key in consts:
             if key not in allowed:
                 raise ValueError(f"unknown constant: {key}")
-        gamma = consts.get("gamma", 0.3)
-        n = args.d
-        good = int(round(consts.get("good_frac", 0.5) * n))
-        means = np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
+        means = good_arm_means(
+            args.d, consts.get("gamma", 0.3), consts.get("good_frac", 0.5)
+        )
         constants = (consts.get("c1", 1.0), consts.get("c2", 0.01))
         si = build_star_instance_hard(
-            n, means, args.k, args.eps, constants=constants, seed=args.seed
+            args.d, means, args.k, args.eps, constants=constants, seed=args.seed
         )
     out.write_text(star_instance_to_json(si))
     sidecar = out.with_suffix(".meta.json")

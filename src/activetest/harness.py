@@ -33,6 +33,7 @@ from .bandit import (
     ArmSet,
     aga_schedule,
     build_star_instance_hard,
+    good_arm_means,
     natural_aga,
     recover_good_fraction,
     star_exact_hard_error,
@@ -516,7 +517,7 @@ def _build_intervals_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundl
         )
         return res.alpha_hat, res.queries_used, res.unlabeled_used
 
-    return _Bundle(float(truth), run, info={"d": d})
+    return _Bundle(float(truth), run)
 
 
 @_algorithm(
@@ -552,7 +553,7 @@ def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         est = composition_da(pool, spec, lam, eps, mu, seed=trial_rng)
         return float(est), oracle.used, pool.unlabeled_used
 
-    return _Bundle(float(truth), run, info={"m": m, "lam": lam, "pool": pool_size})
+    return _Bundle(float(truth), run, info={"pool": pool_size})
 
 
 @_algorithm(
@@ -616,7 +617,7 @@ def _build_knn_soft(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         )
         return est.value, est.queries_used, 0
 
-    return _Bundle(float(truth), run, info={"n": n, "k": k, "p": power})
+    return _Bundle(float(truth), run)
 
 
 @_algorithm("knn-hard", 0.1, "hard k-NN error estimation", n=(int, 500), k=(int, 25))
@@ -642,7 +643,7 @@ def _build_knn_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         est = estimate_hard_error(inst, id_distribution(ids), k, eps, seed=trial_rng)
         return est.value, est.queries_used, 0
 
-    return _Bundle(float(truth), run, info={"n": n, "k": k})
+    return _Bundle(float(truth), run)
 
 
 def _best_k_search(config: TrialConfig) -> tuple[int, list[tuple[int, float]], float, float]:
@@ -692,17 +693,7 @@ def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         k_star, _, used = search(trial_rng)
         return float(table[k_star - 1]), used, 0
 
-    return _Bundle(
-        truth,
-        run,
-        info={
-            "n": n,
-            "p": power,
-            "grid": best_k_grid(n, power, eps),
-            "truth_table": table,
-            "search": search,
-        },
-    )
+    return _Bundle(truth, run, info={"n": n, "truth_table": table, "search": search})
 
 
 @_algorithm(
@@ -711,16 +702,15 @@ def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
 )
 def _build_aga(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     n, gamma = p["n"], p["gamma"]
-    good = int(round(p["good_frac"] * n))
-    means = np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
-    truth = good / n
+    means = good_arm_means(n, gamma, p["good_frac"])
+    truth = np.count_nonzero(means > 0.5) / n
 
     def run(trial_rng: np.random.Generator):
         arms = ArmSet(means, gamma)
         est = natural_aga(arms, gamma, eps, seed=trial_rng)
         return float(est), int(arms.pulls.sum()), 0
 
-    return _Bundle(float(truth), run, info={"n": n, "gamma": gamma})
+    return _Bundle(float(truth), run)
 
 
 @_algorithm(
@@ -729,9 +719,8 @@ def _build_aga(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     c1=(float, 1.5), c2=(float, 0.01),
 )
 def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
-    n, k, gamma = p["n"], p["k"], p["gamma"]
-    good = int(round(p["good_frac"] * n))
-    means = np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
+    n, k = p["n"], p["k"]
+    means = good_arm_means(n, p["gamma"], p["good_frac"])
     si = build_star_instance_hard(n, means, k, eps, (p["c1"], p["c2"]), seed=rng)
     if si.instance.space.n > 2 * ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
@@ -745,12 +734,7 @@ def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         est = estimate_hard_error(inst, id_distribution(all_ids), k, eps, seed=trial_rng)
         return recover_good_fraction(est.value, si.b), est.queries_used, 0
 
-    return _Bundle(
-        float(truth),
-        run,
-        default_tolerance=2.0 * eps,
-        info={"b": si.b, "N": si.N, "m": si.m, "exact_error": float(exact), "points": si.instance.space.n},
-    )
+    return _Bundle(float(truth), run, default_tolerance=2.0 * eps)
 
 
 def registered_algorithms() -> list[str]:

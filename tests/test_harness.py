@@ -82,7 +82,9 @@ def _strip_millis(report_csv: str) -> list:
 # every registered algorithm. A change to a bill edits its row here and
 # names the proof step that allows it in the estimator's docstring.
 # union-da boosts each median over the min(s, num_blocks) distinct drawn
-# blocks, not over the s draws (disjoint_union_plan).
+# blocks, not over the s draws (disjoint_union_plan). best-k takes a plain
+# Hoeffding mean of T' = chernoff_iterations(eps/3, 1/(9G)) draws per grid
+# point: 329 * (1 + 40 * 1) at eps=0.3, n=60, p=1 (best_k).
 _LABEL_BILLS = [
     ("intervals-da", 0.2, {"d": 10}, (81, 81)),
     ("intervals-da", 0.2, {"d": 400, "grid": 8000}, (44901, 3219)),
@@ -90,7 +92,7 @@ _LABEL_BILLS = [
     ("union-da", 0.1, {}, (31800, 36533)),
     ("knn-soft", 0.3, {"n": 40, "k": 5}, (30, 0)),
     ("knn-hard", 0.3, {"n": 40, "k": 5}, (60, 0)),
-    ("best-k", 0.3, {"n": 60, "p": 1}, (391140, 0)),
+    ("best-k", 0.3, {"n": 60, "p": 1}, (13489, 0)),
     ("aga", 0.2, {"n": 40}, (45750, 0)),
     ("star-hard", 0.2, {"n": 2, "k": 2, "c1": 0.2, "c2": 0.5}, (69, 0)),
 ]
