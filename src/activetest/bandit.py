@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    LabelOracle,
     TargetFunction,
     as_generator,
     chernoff_iterations,

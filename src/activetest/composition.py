@@ -263,7 +263,7 @@ def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
     num_blocks)) bounds the second event by 1/9 too (union bound). Together
     the failure is <= 2/9 < 1/3 and the error <= 3*eps/4 < eps.
     The median stays, unlike best_k's Hoeffding mean: each per-block
-    estimate is an exact interval DP on block_pool_size points, not a
+    estimate is an exact interval distance on block_pool_size points, not a
     bounded mean of i.i.d. draws, so Hoeffding does not apply to it.
     """
     if not (0.0 < eps < 1.0):

@@ -1,4 +1,4 @@
-"""Tests for interval unions, the exact distance DP, and its approximation."""
+"""Tests for interval unions, the exact merge kernel, and its approximation."""
 
 import math
 
@@ -227,6 +227,61 @@ class TestErrorCurve:
                 assert curve[-1] == pytest.approx(np.minimum(w0, w1).sum(), abs=1e-12)
         assert padded >= 10
 
+    def test_whole_curve_matches_full_dp(self):
+        # 1,200 instances cycling through all-0 labels, all-1 labels, a
+        # single position and the mixed stress shape (repeated positions
+        # with both labels, zero weights), at kmax = 0, below P and past P
+        rng = np.random.default_rng(12)
+        past = below = 0
+        for i in range(1200):
+            pts, w, labels = _stress_instance(rng, int(rng.integers(1, 9)), 6)
+            if i % 6 == 0:
+                labels = np.zeros_like(labels)
+            elif i % 6 == 1:
+                labels = np.ones_like(labels)
+            elif i % 6 == 2:
+                pts = np.full_like(pts, 0.5)
+            pos = np.unique(pts, return_inverse=True)[1]
+            v = np.bincount(pos, weights=w * (2 * labels - 1.0))
+            p = int(np.count_nonzero(np.diff((v > 0).astype(int), prepend=0) == 1))
+            kmax = (0, int(rng.integers(0, p + 1)), p + int(rng.integers(1, 4)))[i % 3]
+            past += kmax > p
+            below += kmax < p
+            curve = interval_error_curve(pts, w, labels, kmax)
+            assert curve.shape == (kmax + 1,)
+            np.testing.assert_allclose(
+                curve, _full_dp_curve(pts, w, labels, kmax), rtol=0, atol=1e-12
+            )
+        assert past >= 300 and below >= 300
+
+    def test_curve_is_convex(self):
+        # the best sum of k disjoint subarrays is concave in k, so the
+        # curve's second differences are nonnegative
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            pts, w, labels = _stress_instance(rng, int(rng.integers(3, 30)), 8)
+            curve = interval_error_curve(pts, w, labels, 20)
+            assert np.all(np.diff(curve, 2) >= -1e-12)
+
+    def test_zero_distance_is_exact(self):
+        # labels drawn from a union of at most d intervals, random weights
+        # and repeated points: the distance reads exactly 0.0, not a
+        # rounding residue of total minus covered weight
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            d = int(rng.integers(1, 6))
+            edges = np.sort(rng.random(2 * d))
+            union = IntervalUnion(edges.reshape(-1, 2))
+            pts = rng.choice(rng.random(40), size=60)
+            w = rng.random(60) * (rng.random(60) > 0.1) + 1e-9
+            s = WeightedSample(pts, w / w.sum(), union.evaluate(pts))
+            alpha, witness = exact_distance_to_intervals(s, d)
+            assert alpha == 0.0
+            assert len(witness) <= d
+            assert np.array_equal(witness.evaluate(pts), s.labels)
+            curve = interval_error_curve(s.points, s.weights, s.labels, d + 2)
+            assert np.all(curve[d:] == 0.0)
+
     def test_negative_kmax_rejected(self):
         with pytest.raises(ValueError):
             interval_error_curve(np.zeros(1), np.ones(1), np.zeros(1), -1)
@@ -367,15 +422,46 @@ class TestDaWrapper:
     def test_large_budget_composition(self):
         union = IntervalUnion([[0.0, 0.5]])
         res = interval_da(
-            Distribution.uniform01(), union.as_target(), 0.4, 100, seed=31
+            Distribution.uniform01(), union.as_target(), 0.4, 1000, seed=31
         )
         assert res.alpha_hat == 0.0
         assert res.witness is None
-        inner = interval_da_plan(0.2, 100)
+        inner = interval_da_plan(0.2, 1000)
         assert res.queries_used == inner["erm_samples"] * inner["repetitions"]
         assert res.unlabeled_used == active_sample_size(
-            200, 0.4, kind="da", constant=0.1
+            2000, 0.4, kind="da", constant=0.1
         )
+
+    def test_composition_bill_over_draw_labels_draw(self):
+        # at eps=0.4, d=100 the composition route would bill 492 labels
+        # against a 115-point draw, so the draw is labeled and solved
+        union = IntervalUnion([[0.1, 0.3], [0.5, 0.6]])
+        res = interval_da(
+            Distribution.uniform01(), union.as_target(), 0.4, 100, seed=33
+        )
+        inner = interval_da_plan(0.2, 100)
+        assert inner["route"] == "composition"
+        assert inner["erm_samples"] * inner["repetitions"] == 492
+        assert res.queries_used == res.unlabeled_used == 115
+        draws = Distribution.uniform01().draw(115, np.random.default_rng(33))
+        labels = union.evaluate(draws)
+        assert len(res.witness) <= 100
+        disagreement = np.count_nonzero(res.witness.evaluate(draws) != labels) / 115
+        assert disagreement == pytest.approx(res.alpha_hat, abs=1e-12)
+
+    @pytest.mark.parametrize("d, exact", [(5579, True), (5580, False)])
+    def test_route_switches_at_crossover(self, d, exact):
+        # at eps=0.2 the composition bill is 44,901 labels and the draw is
+        # ceil(0.1 * 2d * ln 5 / 0.04) points, which passes it at d = 5580
+        bill = 3 * interval_da_plan(0.1, d)["erm_samples"]
+        n_unl = active_sample_size(2 * d, 0.2, kind="da", constant=0.1)
+        assert bill == 44901 and (n_unl <= bill) == exact
+        union = IntervalUnion([[0.0, 0.5]])
+        res = interval_da(Distribution.uniform01(), union.as_target(), 0.2, d, seed=34)
+        assert res.unlabeled_used == n_unl
+        assert res.queries_used == (n_unl if exact else bill)
+        assert (res.witness is not None) == exact
+        assert res.alpha_hat == 0.0
 
     def test_accepts_oracle_and_charges_it(self):
         oracle = LabelOracle(TargetFunction.constant(1))
