@@ -9,11 +9,16 @@ pulls; its pull count is exact and independent of the number of arms.
 The star generators build adversarial k-NN fixtures: a star has m hub
 points ("centers") pairwise at distance 1, each with its own radius in
 (1,2) to every leaf; leaves sit pairwise at distance 2, and distinct
-stars are far apart (distance 10). All radii are distinct so neighbor
-rankings have no distance ties. The soft generator labels leaves 1 and
-centers by independent coins; the hard generator labels leaves 0 and the
-centers of star j by independent pulls of arm j, so the hard
-misclassification rate carries the good-arm fraction.
+stars are far apart (distance 10). The radii are distinct, yet rankings
+still tie: centers of one star tie at 1, its leaves at 2, a center's
+distances to the leaves of its star at its radius, and all cross-star
+distances at 10; ties go to pool position. Every distance inside a star
+is at most 2, below the cross-star 10, so a query ranks the pool points
+of its own star first and then every other pool point in pool order; the
+star metric ranks star by star on that fact. The soft generator labels
+leaves 1 and centers by independent coins; the hard generator labels
+leaves 0 and the centers of star j by independent pulls of arm j, so the
+hard misclassification rate carries the good-arm fraction.
 
 Lower-bound statements about these constructions (query-count floors for
 loss estimation and for good-arm counting) are mathematical impossibility
@@ -212,27 +217,49 @@ class _StarSpace:
             raise ValueError("domain mismatch")
         return ids
 
-    def _split(self, ids: np.ndarray):
-        star = ids // self.star_size
+    def _profile(self, ids: np.ndarray):
+        # Whether each id is a center, and its radius (2 for a leaf).
         within = ids % self.star_size
         is_center = within < self.m
-        center_idx = star * self.m + np.minimum(within, self.m - 1)
-        return star, is_center, center_idx
+        center = (ids // self.star_size) * self.m + np.minimum(within, self.m - 1)
+        return is_center, np.where(is_center, self.radii[center], 2.0)
+
+    def _within(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # Distances between broadcast id arrays as if they shared one star:
+        # 1 between two centers, else the radius of the center among them,
+        # or 2 between two leaves; 0 on the diagonal.
+        cx, rx = self._profile(x)
+        cy, ry = self._profile(y)
+        return np.where(x == y, 0.0, np.where(cx & cy, 1.0, np.where(cx, rx, ry)))
 
     def cross(self, x_ids, y_ids) -> np.ndarray:
+        x = self._check_ids(np.atleast_1d(x_ids))[:, None]
+        y = self._check_ids(np.atleast_1d(y_ids))[None, :]
+        same = x // self.star_size == y // self.star_size
+        return np.where(same, self._within(x, y), self.CROSS_STAR)
+
+    def ranking(self, x_ids, pool: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Exactly the stable ranking of cross(x_ids, pool), cut to k: a
+        star-s query ranks star s's own pool positions by their in-star
+        distances, then every other pool position in ascending order (all
+        at the cross-star distance). Only in-star distances are computed;
+        the in-star blocks are small and hold few distinct distances, so
+        they are stable-sorted whole."""
         x = self._check_ids(np.atleast_1d(x_ids))
-        y = self._check_ids(np.atleast_1d(y_ids))
-        sx, cx, ix = self._split(x)
-        sy, cy, iy = self._split(y)
-        same = sx[:, None] == sy[None, :]
-        out = np.full((x.shape[0], y.shape[0]), self.CROSS_STAR)
-        out = np.where(same & cx[:, None] & cy[None, :], 1.0, out)
-        out = np.where(same & ~cx[:, None] & ~cy[None, :], 2.0, out)
-        cl = same & cx[:, None] & ~cy[None, :]
-        out = np.where(cl, self.radii[ix][:, None], out)
-        lc = same & ~cx[:, None] & cy[None, :]
-        out = np.where(lc, self.radii[iy][None, :], out)
-        return np.where(x[:, None] == y[None, :], 0.0, out)
+        width = pool.shape[0] if k is None else min(k, pool.shape[0])
+        x_star = x // self.star_size
+        pool_star = pool // self.star_size
+        out = np.empty((x.shape[0], width), dtype=np.intp)
+        for s in np.unique(x_star):
+            rows = np.flatnonzero(x_star == s)
+            own = np.flatnonzero(pool_star == s)
+            d = self._within(x[rows][:, None], pool[own][None, :])
+            rank = own[np.argsort(d, axis=1, kind="stable")[:, :width]]
+            out[rows, : rank.shape[1]] = rank
+            if rank.shape[1] < width:
+                tail = np.flatnonzero(pool_star != s)[: width - rank.shape[1]]
+                out[rows, rank.shape[1] :] = tail
+        return out
 
     def dist(self, a: int, b: int) -> float:
         return float(self.cross([a], [b])[0, 0])
@@ -478,7 +505,7 @@ def star_exact_hard_error(si: StarInstance, k: int) -> float:
     pool_label = labels[inst.pool]
 
     def hard_batch(ids: np.ndarray) -> np.ndarray:
-        pos = inst.ranking(ids)[:, :k]
+        pos = inst.ranking(ids, k)
         return (pool_label[pos].mean(axis=1) > 0.5).astype(np.int8)
 
     total_err = 0.0

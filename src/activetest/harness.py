@@ -66,6 +66,7 @@ from .intervals import (
     interval_block_spec,
     interval_da,
     interval_da_uniform,
+    interval_error_curve,
 )
 from .knn import (
     KnnInstance,
@@ -392,13 +393,14 @@ def _union_block_of(points) -> np.ndarray:
 
 def exact_interval_block_da(d: int = 1) -> Callable:
     """Per-block estimator for :func:`disjoint_union_da`: labels its whole
-    slice and solves the one-block interval problem exactly."""
+    slice and solves the one-block interval problem exactly. Reads the
+    error curve at d, which equals `exact_distance_to_intervals` without
+    building its witness."""
 
     def run(sub_pool: ActivePool, eps: float, rng) -> float:
         pts, idx = sub_pool.take_rest()
-        labels = sub_pool.label(idx)
-        alpha, _ = exact_distance_to_intervals(WeightedSample.uniform(pts, labels), d)
-        return float(alpha)
+        sample = WeightedSample.uniform(pts, sub_pool.label(idx))
+        return float(interval_error_curve(sample.points, sample.weights, sample.labels, d)[d])
 
     return run
 
@@ -966,7 +968,7 @@ def _enumerate_unbiasedness(rng: np.random.Generator) -> float:
         for labels in labelings:
             inst = KnnInstance(space, ids, LabelOracle(TargetFunction.from_labels(labels)))
             for k in sorted({1, max(1, n // 2), n}):
-                nbr_labels = labels[inst.ranking(ids)[:, :k]]
+                nbr_labels = labels[inst.ranking(ids, k)]
                 for p in (1, 2, 3):
                     per_point = np.empty(n)
                     for x in range(n):

@@ -3,7 +3,8 @@ label-frugal estimators of its loss.
 
 Points are integer ids into a finite metric space. A pool of candidate
 neighbors ranks by distance, ties broken by pool position; the estimators
-rank each distinct test point once and reuse it for every k. Predictors
+rank each distinct test point once, and select only its k nearest when k
+is fixed. Predictors
 read a fully labeled pool for free; the estimators pay for every label
 through the instance's oracle and report exact query counts.
 
@@ -113,8 +114,37 @@ class MetricSpace:
             return np.abs(self.coords[x][:, None] - self.coords[y][None, :])
         return self.matrix[np.ix_(x, y)]
 
+    def ranking(self, x_ids, pool: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Stable ranking of pool positions by distance from each query id;
+        see `KnnInstance.ranking`."""
+        return _stable_top_k(self.cross(x_ids, pool), k)
+
     def dist(self, a: int, b: int) -> float:
         return float(self.cross([a], [b])[0, 0])
+
+
+def _stable_top_k(d: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``.
+
+    Below the row length it selects instead of sorting: np.partition finds
+    each row's k-th smallest distance, every position strictly nearer is
+    kept, and of the ties at that distance the earliest positions fill the
+    remaining slots (a running count over the tie mask, skipped when no
+    row has more than k positions at or below it). Only the k kept
+    positions, in ascending position order, are then stable-sorted.
+    """
+    n = d.shape[1]
+    if k is None or k >= n:
+        return np.argsort(d, axis=1, kind="stable")
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    keep = d <= kth
+    if np.count_nonzero(keep) > d.shape[0] * k:
+        tie = d == kth
+        room = k - np.count_nonzero(keep & ~tie, axis=1)[:, None]
+        keep &= ~tie | (np.cumsum(tie, axis=1, dtype=np.int32) <= room)
+    cols = np.nonzero(keep)[1].reshape(d.shape[0], k)
+    order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def verify_triangle(
@@ -147,6 +177,10 @@ class KnnInstance:
     The ranking of any query point is the pool sorted by distance, ties
     broken by pool position; the k nearest are always a prefix of the
     ranking, for every k.
+
+    The space supplies ``cross(x_ids, y_ids)`` and ``ranking(x_ids, pool,
+    k)``; `MetricSpace` ranks its distance matrix with `_stable_top_k`, and
+    the star metric of `activetest.bandit` ranks star by star.
     """
 
     def __init__(self, space: MetricSpace, pool, oracle):
@@ -162,15 +196,16 @@ class KnnInstance:
     def size(self) -> int:
         return int(self.pool.shape[0])
 
-    def ranking(self, x_ids) -> np.ndarray:
-        """Pool positions of all pool points sorted by distance from each
-        query id; shape (len(x_ids), size)."""
-        d = self.space.cross(x_ids, self.pool)
-        return np.argsort(d, axis=1, kind="stable")
+    def ranking(self, x_ids, k: int | None = None) -> np.ndarray:
+        """Pool positions sorted by distance from each query id, ties broken
+        by the lower pool position: exactly ``np.argsort(space.cross(x_ids,
+        pool), axis=1, kind="stable")[:, :k]``. Shape (len(x_ids),
+        min(k, size)); the whole pool when k is None."""
+        return self.space.ranking(x_ids, self.pool, k)
 
     def neighbor_ids(self, x_ids, k: int) -> np.ndarray:
         """Ids of the k nearest pool points of each query id."""
-        return self.pool[self.ranking(x_ids)[:, :k]]
+        return self.pool[self.ranking(x_ids, k)]
 
 
 def id_distribution(ids, probs=None) -> Distribution:
@@ -218,12 +253,16 @@ def _draw_ids(inst: KnnInstance, test_dist: Distribution, n: int, rng) -> np.nda
     return inst.space._check_ids(ids)
 
 
-def _ranked_test_draws(inst: KnnInstance, test_dist: Distribution, n: int, rng):
-    # Row inv[i] of nbr is the pool sorted by distance from test draw i.
+def _ranked_test_draws(
+    inst: KnnInstance, test_dist: Distribution, n: int, rng, k: int | None = None
+):
+    # Row inv[i] of nbr is the pool sorted by distance from test draw i, cut
+    # to its k nearest when k is given.
     x = _draw_ids(inst, test_dist, n, rng)
     fx = inst.oracle.query_many(x)
     ux, inv = np.unique(x, return_inverse=True)
-    return fx, inst.pool[inst.ranking(ux)], inv
+    rank = inst.ranking(ux) if k is None else inst.ranking(ux, k)
+    return fx, inst.pool[rank], inv
 
 
 def _pool_labels(inst: KnnInstance) -> np.ndarray:
@@ -233,8 +272,7 @@ def _pool_labels(inst: KnnInstance) -> np.ndarray:
 
 
 def _soft_many(inst: KnnInstance, x_ids, k: int) -> np.ndarray:
-    nbr_pos = inst.ranking(x_ids)[:, :k]
-    labels = _pool_labels(inst)[nbr_pos]
+    labels = _pool_labels(inst)[inst.ranking(x_ids, k)]
     return labels.mean(axis=1)
 
 
@@ -278,7 +316,7 @@ def estimate_soft_loss_pth(
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
     before = inst.oracle.used
-    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     j = rng.integers(0, k, size=(t, p))
     fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, p)
     vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
@@ -321,7 +359,7 @@ def estimate_loss_lipschitz(
     t = chernoff_iterations(eps / 2.0, 1.0 / 6.0)
     w = lipschitz_inner_samples(lipschitz, eps, t)
     before = inst.oracle.used
-    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     j = rng.integers(0, k, size=(t, w))
     fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, w)
     z = np.abs(fj.mean(axis=1) - fx)
@@ -392,8 +430,8 @@ def estimate_hard_error(
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
     before = inst.oracle.used
-    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng)
-    fj = inst.oracle.query_many(nbr[inv, :k].ravel()).reshape(t, k)
+    fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
+    fj = inst.oracle.query_many(nbr[inv].ravel()).reshape(t, k)
     pred = (fj.mean(axis=1) > 0.5).astype(np.int8)
     vals = np.abs(pred - fx).astype(float)
     return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)

@@ -9,6 +9,7 @@ import pytest
 from activetest import (
     ArmSet,
     KnnInstance,
+    TargetFunction,
     aga_schedule,
     build_star_instance_hard,
     build_star_instance_soft,
@@ -27,6 +28,8 @@ from activetest import (
     star_soft_plan,
     verify_triangle,
 )
+from activetest.bandit import _assemble, _StarSpace
+from activetest.harness import _build_star_hard
 
 
 class TestArmSet:
@@ -169,17 +172,98 @@ class TestStarGeometry:
             build_star_instance_soft(1, 0.3, 1.5)
 
 
+def _random_star_space(rng, min_stars: int = 1) -> _StarSpace:
+    n = int(rng.integers(min_stars, 4))
+    m, b = (int(v) for v in rng.integers(1, 4, size=2))
+    slots = 10 * n * m
+    radii = 1.0 + (rng.permutation(slots)[: n * m] + 0.5) / slots
+    return _StarSpace(n, m, b, radii)
+
+
+def _random_star_pool(rng, space: _StarSpace, short: bool) -> np.ndarray:
+    # Uniform draws, so ids repeat; a short star 0 keeps a single pool point.
+    pool = rng.integers(0, space.n, size=int(rng.integers(2, 2 * space.star_size + 2)))
+    if short:
+        pool = np.append(pool[pool >= space.star_size], rng.integers(0, space.star_size))
+    return pool
+
+
+def _random_hard_instance(rng, short: bool):
+    space = _random_star_space(rng, 2 if short else 1)
+    ids = np.arange(space.n)
+    labels = np.zeros(space.n, dtype=np.int8)
+    centers = ids[ids % space.star_size < space.m]
+    labels[centers] = rng.integers(0, 2, size=centers.shape[0])
+    pool = _random_star_pool(rng, space, short)
+    k = int(rng.integers(1, pool.shape[0] + 1))
+    return _assemble(space, labels, pool, {"k": k, "N": pool.shape[0]}, (), None)
+
+
+class TestStarRanking:
+    """The star-local ranking is exactly the stable argsort's k-prefix."""
+
+    def test_matches_argsort_prefix(self):
+        rng = np.random.default_rng(50)
+        short_seen = 0
+        for i in range(150):
+            short = i % 3 == 0
+            space = _random_star_space(rng, 2 if short else 1)
+            pool = _random_star_pool(rng, space, short)
+            inst = KnnInstance(space, pool, TargetFunction.constant(0))
+            # every pool id is queried, plus off-pool ids
+            x = np.concatenate([np.unique(pool), rng.integers(0, space.n, size=5)])
+            full = np.argsort(space.cross(x, pool), axis=1, kind="stable")
+            n = inst.size
+            star0 = np.count_nonzero(pool < space.star_size)
+            for k in sorted({1, max(1, n // 2), max(1, n - 1), n}):
+                assert np.array_equal(inst.ranking(x, k), full[:, :k])
+                short_seen += bool(np.any(x < space.star_size)) and star0 < k
+            assert np.array_equal(inst.ranking(x), full)
+        assert short_seen >= 50
+
+    def test_bundled_setup_computes_only_in_star_cells(self, monkeypatch):
+        # Work guard, no timing: the bundled star-hard truth ranks about
+        # 3,070 ids (centers plus distinct pooled leaves) against a
+        # 1,739-point pool of 8 stars; ranking star by star computes about
+        # an eighth of the rows x pool cells a full distance matrix needs.
+        # cross counts twice (it calls _within), which only tightens this.
+        cells, full = [], []
+        for name in ("cross", "_within"):
+            method = getattr(_StarSpace, name)
+
+            def counting(self, *args, _method=method, **kwargs):
+                out = _method(self, *args, **kwargs)
+                cells.append(out.size)
+                return out
+
+            monkeypatch.setattr(_StarSpace, name, counting)
+        ranking = KnnInstance.ranking
+
+        def counting_ranking(self, x_ids, k=None):
+            full.append(np.size(x_ids) * self.size)
+            return ranking(self, x_ids, k)
+
+        monkeypatch.setattr(KnnInstance, "ranking", counting_ranking)
+        _build_star_hard(0.15, {}, np.random.default_rng(0))
+        assert sum(full) > 3000 * 1700
+        assert 0 < sum(cells) <= sum(full) / 4
+
+
 class TestStarHardError:
     def test_matches_full_enumeration(self):
-        si = _tiny_hard_instance()
-        fast = star_exact_hard_error(si, si.k)
-        explicit = KnnInstance(
-            si.instance.space.to_explicit(), si.instance.pool, si.instance.oracle
-        )
-        slow = exact_hard_error(
-            explicit, np.arange(si.instance.space.n), None, si.k
-        )
-        assert fast == pytest.approx(slow, abs=1e-12)
+        rng = np.random.default_rng(51)
+        cases = [_tiny_hard_instance()] + [
+            _random_hard_instance(rng, short=i % 5 == 0) for i in range(60)
+        ]
+        for si in cases:
+            fast = star_exact_hard_error(si, si.k)
+            explicit = KnnInstance(
+                si.instance.space.to_explicit(), si.instance.pool, si.instance.oracle
+            )
+            slow = exact_hard_error(
+                explicit, np.arange(si.instance.space.n), None, si.k
+            )
+            assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_invalid_k(self):
         si = _tiny_hard_instance()

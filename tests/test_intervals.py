@@ -286,6 +286,19 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             interval_error_curve(np.zeros(1), np.ones(1), np.zeros(1), -1)
 
+    def test_curve_at_d_is_exact_distance_bit_for_bit(self):
+        # union-da's per-block estimator reads the curve at d in place of
+        # exact_distance_to_intervals, so the two must agree exactly, on
+        # uniform weights (as in its blocks) and on the stress shape
+        rng = np.random.default_rng(15)
+        for i in range(5000):
+            pts, w, labels = _stress_instance(rng, int(rng.integers(1, 9)), 6)
+            if i % 2:
+                w = np.full(pts.shape[0], 1.0 / pts.shape[0])
+            d = int(rng.integers(0, 6))
+            alpha, _ = exact_distance_to_intervals(WeightedSample(pts, w, labels), d)
+            assert interval_error_curve(pts, w, labels, d)[d] == alpha
+
 
 class TestBlockSpec:
     def test_block_curves_match_restricted_dp(self):

@@ -110,6 +110,45 @@ class TestKnnInstance:
         assert np.all(np.diff(sorted_d, axis=1) >= 0)
 
 
+def _assert_top_k_is_argsort_prefix(inst, x):
+    full = np.argsort(inst.space.cross(x, inst.pool), axis=1, kind="stable")
+    n = inst.size
+    for k in sorted({1, max(1, n // 2), max(1, n - 1), n}):
+        assert np.array_equal(inst.ranking(x, k), full[:, :k])
+        assert np.array_equal(inst.neighbor_ids(x, k), inst.pool[full[:, :k]])
+    assert np.array_equal(inst.ranking(x), full)
+
+
+class TestTopKRanking:
+    """ranking(x, k) is exactly the stable full argsort's k-prefix."""
+
+    def test_euclidean_duplicate_and_mirrored_coords(self):
+        # coordinates on a coarse lattice symmetric about 0: repeated points
+        # and points mirrored about a query tie, and the shuffled pool makes
+        # ties break by pool position rather than by id
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            coords = rng.integers(-4, 5, size=n) / 4.0
+            space = MetricSpace.euclidean1d(coords)
+            pool = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            x = rng.integers(0, n, size=int(rng.integers(1, 12)))
+            _assert_top_k_is_argsort_prefix(
+                KnnInstance(space, pool, TargetFunction.constant(0)), x
+            )
+
+    def test_explicit_integer_matrix(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(2, 25))
+            upper = np.triu(rng.integers(1, 4, size=(n, n)), 1).astype(float)
+            space = MetricSpace.explicit(upper + upper.T)
+            pool = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+            _assert_top_k_is_argsort_prefix(
+                KnnInstance(space, pool, TargetFunction.constant(0)), np.arange(n)
+            )
+
+
 class TestPredictors:
     def test_soft_and_hard(self, line_instance):
         # neighbors of id 2 at k=3: ids 2, 1, 3 -> labels 1, 0, 1
