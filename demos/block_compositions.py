@@ -77,10 +77,14 @@ def disjoint_union_section():
     rng = np.random.default_rng(48)
     pool = ActivePool(rng.random(s + 2 * reps * 80 + 4000), LabelOracle(target))
 
-    def per_block(sub, inner_eps, inner_rng):
+    # one call per drawn block; repetition r reads only its own slice r
+    def per_block(sub, reps, inner_eps, inner_rng):
         pts, idx = sub.take_rest()
         labels = sub.label(idx)
-        return exact_distance_to_intervals(WeightedSample.uniform(pts, labels), 1)[0]
+        return [
+            exact_distance_to_intervals(WeightedSample.uniform(p, l), 1)[0]
+            for p, l in zip(pts.reshape(reps, -1), labels.reshape(reps, -1))
+        ]
 
     out = disjoint_union_da(
         pool,

@@ -286,7 +286,7 @@ def _checked_block_ids(block_of, points: np.ndarray, num_blocks: int) -> np.ndar
 
 def disjoint_union_da(
     pool: ActivePool,
-    per_block_da: Callable[[ActivePool, float, np.random.Generator], float],
+    per_block_da: Callable[[ActivePool, int, float, np.random.Generator], np.ndarray],
     eps: float,
     *,
     num_blocks: int,
@@ -298,16 +298,26 @@ def disjoint_union_da(
     block masses.
 
     Draws s = chernoff_iterations(eps/4, 1/9) block indices by reading fresh
-    unlabeled points, then for each distinct drawn block runs per_block_da at
-    accuracy eps/2, boosted to success 1 - 1/(9*min(s, num_blocks)) by a
-    median of ceil(18*ln(9*min(s, num_blocks))) repetitions, each on a fresh
-    slice of block_pool_size pool points from that block. One estimate is
-    cached per distinct block, so the union bound runs over those blocks,
-    not over the s draws (:func:`disjoint_union_plan`): at eps=0.1 with two
-    blocks that is 53 repetitions instead of 179. Returns the mean estimate
-    over the s draws. block_of must map every pool point to an integer id
-    in [0, num_blocks); a drawn block with fewer than reps *
-    block_pool_size pool points left raises InsufficientPoolError.
+    unlabeled points, then estimates each distinct drawn block at accuracy
+    eps/2, boosted to success 1 - 1/(9*min(s, num_blocks)) by a median of
+    reps = ceil(18*ln(9*min(s, num_blocks))) repetitions. One estimate is
+    kept per distinct block, so the union bound runs over those blocks, not
+    over the s draws (:func:`disjoint_union_plan`): at eps=0.1 with two
+    blocks that is 53 repetitions instead of 179. Returns the mean of the
+    per-block medians over the s draws.
+
+    per_block_da(block_pool, reps, eps/2, rng) is called once per distinct
+    drawn block. block_pool holds reps * block_pool_size fresh points of
+    that block, slice r (points r*block_pool_size up to (r+1)*
+    block_pool_size) being repetition r. It returns the reps estimates,
+    estimate r read from slice r only: the median argument needs the
+    repetitions independent. Nothing here checks that rule, as the one
+    pool lets the callback label any of its points: a callback that reads
+    across slices, or fits one model to the whole block pool, voids the
+    boost without an error. Anything but reps finite numbers raises
+    ValueError. block_of must map every pool point to an integer id in
+    [0, num_blocks); a drawn block with fewer than reps * block_pool_size
+    pool points left raises InsufficientPoolError.
     """
     s, reps = disjoint_union_plan(eps, num_blocks)
     rng = as_generator(seed)
@@ -315,20 +325,22 @@ def disjoint_union_da(
     drawn_blocks = _checked_block_ids(block_of, draw_pts, num_blocks)
     rest_pts, rest_idx = pool.take_rest()
     rest_blocks = _checked_block_ids(block_of, rest_pts, num_blocks)
-    estimates: dict[int, float] = {}
-    for b in np.unique(drawn_blocks):
-        sel = np.flatnonzero(rest_blocks == b)
-        if sel.shape[0] < reps * block_pool_size:
+    blocks, per_draw = np.unique(drawn_blocks, return_inverse=True)
+    medians = np.empty(blocks.shape[0])
+    need = reps * block_pool_size
+    for j, b in enumerate(blocks):
+        sel = np.flatnonzero(rest_blocks == b)[:need]
+        if sel.shape[0] < need:
             raise InsufficientPoolError("insufficient pool")
-        vals = []
-        for r in range(reps):
-            part = sel[r * block_pool_size : (r + 1) * block_pool_size]
-            sub = ActivePool(
-                rest_pts[part],
-                pool.oracle,
-                query_points=pool.query_points[rest_idx[part]],
-            )
-            vals.append(float(per_block_da(sub, eps / 2.0, rng)))
-        estimates[int(b)] = float(np.median(vals))
-    per_draw = np.asarray([estimates[int(b)] for b in drawn_blocks])
-    return float(per_draw.mean())
+        block_pool = ActivePool(
+            rest_pts[sel], pool.oracle, query_points=pool.query_points[rest_idx[sel]]
+        )
+        out = per_block_da(block_pool, reps, eps / 2.0, rng)
+        try:
+            vals = np.asarray(out, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("invalid estimate") from exc
+        if vals.shape != (reps,) or not np.all(np.isfinite(vals)):
+            raise ValueError("invalid estimate")
+        medians[j] = np.median(vals)
+    return float(medians[per_draw].mean())

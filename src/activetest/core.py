@@ -8,7 +8,7 @@ a hard budget counter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -252,13 +252,23 @@ class Distribution:
     """A seeded point source over the reals or a finite support.
 
     kind is one of "uniform01", "finite", "inverse_cdf". Drawing with equal
-    seeds reproduces equal sequences.
+    seeds reproduces equal sequences. A finite distribution derives its CDF
+    from probs once, at construction, and draws by numpy's own
+    ``Generator.choice`` algorithm on it, so its draws and the generator's
+    state afterwards are those of ``rng.choice(atoms, size=n, p=probs)``.
     """
 
     kind: str
     atoms: np.ndarray | None = None
     probs: np.ndarray | None = None
     inverse_cdf: Callable | None = None
+    cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "finite":
+            cdf = np.asarray(self.probs, dtype=float).cumsum()
+            cdf /= cdf[-1]
+            object.__setattr__(self, "cdf", cdf)
 
     @classmethod
     def uniform01(cls) -> "Distribution":
@@ -283,7 +293,7 @@ class Distribution:
         if self.kind == "uniform01":
             return rng.random(n)
         if self.kind == "finite":
-            return rng.choice(self.atoms, size=n, p=self.probs)
+            return np.asarray(self.atoms)[self.cdf.searchsorted(rng.random(n), side="right")]
         if self.kind == "inverse_cdf":
             return np.asarray(self.inverse_cdf(rng.random(n)))
         raise ValueError("invalid parameter")

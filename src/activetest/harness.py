@@ -66,7 +66,7 @@ from .intervals import (
     interval_block_spec,
     interval_da,
     interval_da_uniform,
-    interval_error_curve,
+    _merge_curve,
 )
 from .knn import (
     KnnInstance,
@@ -392,15 +392,19 @@ def _union_block_of(points) -> np.ndarray:
 
 
 def exact_interval_block_da(d: int = 1) -> Callable:
-    """Per-block estimator for :func:`disjoint_union_da`: labels its whole
-    slice and solves the one-block interval problem exactly. Reads the
-    error curve at d, which equals `exact_distance_to_intervals` without
-    building its witness."""
+    """Per-block estimator for :func:`disjoint_union_da`: labels the whole
+    block pool in one call and solves each repetition's slice exactly, as
+    one row of the interval kernel, all rows in one kernel call. Returns
+    each row's cost at d intervals, which equals
+    `exact_distance_to_intervals` on that slice alone."""
 
-    def run(sub_pool: ActivePool, eps: float, rng) -> float:
-        pts, idx = sub_pool.take_rest()
-        sample = WeightedSample.uniform(pts, sub_pool.label(idx))
-        return float(interval_error_curve(sample.points, sample.weights, sample.labels, d)[d])
+    def run(block_pool: ActivePool, reps: int, eps: float, rng) -> np.ndarray:
+        pts, idx = block_pool.take_rest()
+        labels = block_pool.label(idx)
+        n = pts.shape[0] // reps
+        weights = np.full((reps, n), 1.0 / max(n, 1))
+        rows = _merge_curve(pts.reshape(reps, n), weights, labels.reshape(reps, n), d)
+        return np.array([costs[-1] for costs, _ in rows])
 
     return run
 
@@ -611,12 +615,11 @@ def _build_knn_soft(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     ids = np.arange(n)
     tf = TargetFunction.from_labels(labels)
     truth = exact_soft_loss(KnnInstance(space, ids, LabelOracle(tf)), ids, None, k, power)
+    test_dist = id_distribution(ids)
 
     def run(trial_rng: np.random.Generator):
         inst = KnnInstance(space, ids, LabelOracle(tf))
-        est = estimate_soft_loss_pth(
-            inst, id_distribution(ids), k, power, eps, seed=trial_rng
-        )
+        est = estimate_soft_loss_pth(inst, test_dist, k, power, eps, seed=trial_rng)
         return est.value, est.queries_used, 0
 
     return _Bundle(float(truth), run)
@@ -639,10 +642,11 @@ def _build_knn_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     pool = ids[: n // 2]
     tf = TargetFunction.from_labels(labels)
     truth = exact_hard_error(KnnInstance(space, pool, LabelOracle(tf)), ids, None, k)
+    test_dist = id_distribution(ids)
 
     def run(trial_rng: np.random.Generator):
         inst = KnnInstance(space, pool, LabelOracle(tf))
-        est = estimate_hard_error(inst, id_distribution(ids), k, eps, seed=trial_rng)
+        est = estimate_hard_error(inst, test_dist, k, eps, seed=trial_rng)
         return est.value, est.queries_used, 0
 
     return _Bundle(float(truth), run)
@@ -685,10 +689,11 @@ def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         KnnInstance(space, pool, LabelOracle(tf)), test_ids, None, power
     )
     truth = float(table.min())
+    test_dist = id_distribution(test_ids)
 
     def search(trial_rng: np.random.Generator):
         inst = KnnInstance(space, pool, LabelOracle(tf))
-        k_star, est_table = best_k(inst, id_distribution(test_ids), power, eps, seed=trial_rng)
+        k_star, est_table = best_k(inst, test_dist, power, eps, seed=trial_rng)
         return k_star, est_table, inst.oracle.used
 
     def run(trial_rng: np.random.Generator):
@@ -728,12 +733,12 @@ def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         raise ValueError("truth oracle unavailable")
     exact = star_exact_hard_error(si, k)
     truth = recover_good_fraction(exact, si.b)
-    all_ids = np.arange(si.instance.space.n)
+    test_dist = id_distribution(np.arange(si.instance.space.n))
     tf = TargetFunction.from_labels(si.labels)
 
     def run(trial_rng: np.random.Generator):
         inst = KnnInstance(si.instance.space, si.instance.pool, LabelOracle(tf))
-        est = estimate_hard_error(inst, id_distribution(all_ids), k, eps, seed=trial_rng)
+        est = estimate_hard_error(inst, test_dist, k, eps, seed=trial_rng)
         return recover_good_fraction(est.value, si.b), est.queries_used, 0
 
     return _Bundle(float(truth), run, default_tolerance=2.0 * eps)

@@ -131,61 +131,100 @@ class DaResult:
 
 
 def _merge_curve(points, weights, labels, stop: int):
-    """The one interval kernel: greedy segment merging in O(n log n).
+    """The one interval kernel: greedy segment merging in O(n log n),
+    row-batched.
 
-    With v = w1 - w0 per distinct position, a union covering positions S
-    disagrees with weight W1 - sum(v over S), so the least disagreement
-    with at most k intervals is W1 minus the best sum of at most k disjoint
-    subarrays of v. Maximal runs of v > 0 and v <= 0 form alternating
-    segments, the nonpositive ones at both ends dropped; with P positive
-    segments the cost at k >= P is sum(min(w0, w1)). The best sum is
-    concave in k, and its optimal step from k to k-1 merges the live
-    segment of least |value| b with both neighbours into one of value
-    a+b+c (the exchange argument for k maximum disjoint subarrays): a
-    positive b is given up, a nonpositive one covered, either for |b|.
-    -inf sentinels at the ends absorb a given-up end segment. Costs are
-    accumulated upward from the exact base, never taken as W1 minus the
-    covered weight, so distance zero reads exactly 0.0.
+    Each row of the (rows, n) arrays is its own problem. With v = w1 - w0
+    per distinct position, a union covering positions S disagrees with
+    weight W1 - sum(v over S), so the least disagreement with at most k
+    intervals is W1 minus the best sum of at most k disjoint subarrays of
+    v. Maximal runs of v > 0 and v <= 0 form alternating segments, the
+    nonpositive ones at both ends dropped; with P positive segments the
+    cost at k >= P is the base sum(min(w0, w1)). The best sum is concave
+    in k, and its optimal step from k to k-1 merges the live segment of
+    least |value| b with both neighbours into one of value a+b+c (the
+    exchange argument for k maximum disjoint subarrays): a positive b is
+    given up, a nonpositive one covered, either for |b|. -inf sentinels
+    at the ends absorb a given-up end segment. Costs are accumulated
+    upward from the exact base, never taken as W1 minus the covered
+    weight, so distance zero reads exactly 0.0.
 
-    Returns (costs, spans): costs[j] is the cost at P - j intervals for
-    j = 0..P - min(stop, P); spans are the (first, last) positions of the
-    live positive segments at the stop, a union attaining costs[-1].
+    The sort, tie grouping, segment split and segment sums run once over
+    all rows, row starts being forced cuts; the sort need not be stable,
+    as equal positions are summed before their order is read; a row with
+    P <= stop takes no merge step. Each row's result is the one it gets
+    alone.
+
+    Returns one (costs, spans) per row: costs[j] is the cost at P - j
+    intervals for j = 0..P - min(stop, P); spans are the (first, last)
+    positions of the live positive segments at the stop, a union
+    attaining costs[-1].
     """
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] == 0:
-        return np.zeros(1), []
-    order = np.argsort(pts, kind="stable")
-    pts = pts[order]
-    w = np.asarray(weights, dtype=float)[order]
-    lab = np.asarray(labels)[order]
+    rows, n = pts.shape
+    if n == 0:
+        return [(np.zeros(1), []) for _ in range(rows)]
+    # lead[r] is row r's first position in the flattened rows
+    lead = np.arange(rows + 1) * n
+    order = np.argsort(pts, axis=1)
+    order += lead[:-1, None]
+    order = order.ravel()
+    pts = pts.ravel()[order]
+    w = np.asarray(weights, dtype=float).ravel()[order]
+    lab = np.asarray(labels).ravel()[order]
     w0 = np.where(lab == 0, w, 0.0)
     w1 = np.where(lab == 1, w, 0.0)
-    # a lone point carries one label, so only repeated positions pay a base
-    base = 0.0
-    first = np.flatnonzero(pts[1:] != pts[:-1]) + 1
-    if first.shape[0] < pts.shape[0] - 1:
-        first = np.append(0, first)
+    # a lone point carries one label, so only rows with repeated
+    # positions pay a base
+    base = np.zeros(rows)
+    grid = pts.reshape(rows, n)
+    tied = grid[:, 1:] == grid[:, :-1]
+    if tied.any():
+        new = np.ones((rows, n), dtype=bool)
+        new[:, 1:] = ~tied
+        first = np.flatnonzero(new)
         pts, w0, w1 = pts[first], np.add.reduceat(w0, first), np.add.reduceat(w1, first)
-        base = float(np.minimum(w0, w1).sum())
+        lead = np.append(np.searchsorted(first, lead[:-1]), first.shape[0])
+        least = np.minimum(w0, w1)
+        for r in np.flatnonzero(np.diff(lead) < n):
+            base[r] = least[lead[r] : lead[r + 1]].sum()
     v = w1 - w0
     up = v > 0
-    cut = np.flatnonzero(up[1:] != up[:-1]) + 1
-    val = np.add.reduceat(v, np.append(0, cut))
-    a, b = int(not up[0]), val.shape[0] - int(not up[-1])
+    cut = np.ones(v.shape[0], dtype=bool)
+    np.not_equal(up[1:], up[:-1], out=cut[1:])
+    cut[lead[:-1]] = True
+    starts = np.flatnonzero(cut)
+    val = np.add.reduceat(v, starts)
+    # row r keeps segments a..b-1, its nonpositive ends dropped; they
+    # alternate from a positive one, so P = (b - a + 1) // 2 of them are
+    # positive. bound[j] is where segment j ends and the next begins.
+    seg = np.searchsorted(starts, lead).tolist()
+    pos = up[starts].tolist()
+    bound = np.append(starts, v.shape[0])
+    out = []
+    for r in range(rows):
+        a, b = seg[r] + (not pos[seg[r]]), seg[r + 1] - (not pos[seg[r + 1] - 1])
+        out.append(_merge_row(pts, val[a:b].tolist(), bound[a : b + 1].tolist(), base[r], stop))
+    return out
+
+
+def _merge_row(pts, val, lo, base: float, stop: int):
+    """Heap loop of :func:`_merge_curve` for one row: val are the row's
+    segment values between its nonpositive ends, lo their first positions
+    plus the position past the last; merges until `stop` positive
+    segments are live."""
     # segments 1..segs between the sentinels, each with its first position
     # lo, in a doubly linked list whose spare last cell takes the writes
     # past either end; a merge keeps the middle index, so index order stays
     # line order and a span ends where the next live segment starts
-    starts = [0] + cut.tolist() + [v.shape[0]]
-    val = [-math.inf] + val[a:b].tolist() + [-math.inf]
-    lo = [0] + starts[a : b + 1]
+    val = [-math.inf] + val + [-math.inf]
+    lo = [0] + lo
     segs = len(val) - 2
     prev, nxt = list(range(-1, segs + 2)), list(range(1, segs + 4))
     alive = [True] * (segs + 2)
     heap = [(abs(x), i) for i, x in enumerate(val[1:-1], 1)]
     heapq.heapify(heap)
     k, steps = (segs + 1) // 2, [base]
-    stop = min(stop, k)
     while k > stop:
         step, i = heapq.heappop(heap)
         if not alive[i]:
@@ -213,7 +252,7 @@ def interval_error_curve(points, weights, labels, kmax: int) -> np.ndarray:
     number P of positive segments."""
     if kmax < 0:
         raise ValueError("invalid class parameter")
-    costs, _ = _merge_curve(points, weights, labels, 0)
+    ((costs, _),) = _merge_curve([points], [weights], [labels], 0)
     return costs[::-1][np.minimum(np.arange(kmax + 1), costs.shape[0] - 1)]
 
 
@@ -232,7 +271,9 @@ def exact_distance_to_intervals(
     if sample.labels is None:
         raise ValueError("domain mismatch")
     sample.require_normalized()
-    costs, spans = _merge_curve(sample.points, sample.weights, sample.labels, int(d))
+    ((costs, spans),) = _merge_curve(
+        [sample.points], [sample.weights], [sample.labels], int(d)
+    )
     return float(costs[-1]), IntervalUnion(spans)
 
 

@@ -298,9 +298,9 @@ class TestDisjointUnionDa:
         points = rng.random(s + 6000)
         pool = ActivePool(points, LabelOracle(TargetFunction.constant(0)))
 
-        def per_block(sub, inner_eps, inner_rng):
+        def per_block(sub, reps, inner_eps, inner_rng):
             pts, _ = sub.take_rest()
-            return 0.4 if pts.min() >= 0.5 else 0.0
+            return [0.4 if part.min() >= 0.5 else 0.0 for part in pts.reshape(reps, -1)]
 
         out = disjoint_union_da(
             pool,
@@ -320,7 +320,7 @@ class TestDisjointUnionDa:
         with pytest.raises(InsufficientPoolError, match="insufficient pool"):
             disjoint_union_da(
                 pool,
-                lambda sub, e, r: 1.0,
+                lambda sub, reps, e, r: np.ones(reps),
                 0.4,
                 num_blocks=2,
                 block_of=_block_of_halves,
@@ -342,12 +342,13 @@ class TestDisjointUnionDa:
         rng = np.random.default_rng(48)
         pool = ActivePool(rng.random(s + 2 * reps * 60 + 4000), LabelOracle(target))
 
-        def per_block(sub, inner_eps, inner_rng):
+        def per_block(sub, reps, inner_eps, inner_rng):
             pts, idx = sub.take_rest()
             labels = sub.label(idx)
-            return exact_distance_to_intervals(
-                WeightedSample.uniform(pts, labels), 1
-            )[0]
+            return [
+                exact_distance_to_intervals(WeightedSample.uniform(p, l), 1)[0]
+                for p, l in zip(pts.reshape(reps, -1), labels.reshape(reps, -1))
+            ]
 
         out = disjoint_union_da(
             pool,
@@ -359,6 +360,64 @@ class TestDisjointUnionDa:
             seed=49,
         )
         assert out == pytest.approx(0.2, abs=0.15)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda reps: 0.0,
+            lambda reps: np.zeros(reps - 1),
+            lambda reps: np.zeros(reps + 1),
+            lambda reps: np.zeros((reps, 1)),
+            lambda reps: np.r_[np.zeros(reps - 1), np.nan],
+            lambda reps: np.r_[np.inf, np.zeros(reps - 1)],
+            lambda reps: ["x"] * reps,
+            lambda reps: {r: 0.0 for r in range(reps)},
+            lambda reps: None,
+        ],
+    )
+    def test_callback_must_return_reps_finite_estimates(self, bad):
+        s, _ = disjoint_union_plan(0.4, 2)
+        pool = ActivePool(
+            np.random.default_rng(53).random(s + 400), LabelOracle(TargetFunction.constant(0))
+        )
+        with pytest.raises(ValueError, match="invalid estimate"):
+            disjoint_union_da(
+                pool,
+                lambda sub, reps, e, r: bad(reps),
+                0.4,
+                num_blocks=2,
+                block_of=_block_of_halves,
+                block_pool_size=2,
+                seed=54,
+            )
+
+    def test_slice_rule_is_not_checked(self):
+        # the docstring leaves the slice rule to the callback: one that
+        # labels and averages the whole block pool for every repetition
+        # passes unnoticed
+        s, _ = disjoint_union_plan(0.4, 2)
+        pool = ActivePool(
+            np.random.default_rng(55).random(s + 400), LabelOracle(TargetFunction.constant(0))
+        )
+        seen = []
+
+        def per_block(sub, reps, inner_eps, inner_rng):
+            pts, idx = sub.take_rest()
+            sub.label(idx)
+            seen.append((reps, pts.shape[0]))
+            return np.full(reps, pts.mean())
+
+        out = disjoint_union_da(
+            pool,
+            per_block,
+            0.4,
+            num_blocks=2,
+            block_of=_block_of_halves,
+            block_pool_size=2,
+            seed=56,
+        )
+        assert seen and all(n == 2 * reps for reps, n in seen)
+        assert 0.0 < out < 1.0
 
     def test_plan_bounds_distinct_blocks_not_draws(self):
         assert disjoint_union_plan(0.1, 2) == (2313, 53)
@@ -378,12 +437,16 @@ class TestDisjointUnionDa:
             LabelOracle(TargetFunction.constant(0)),
         )
         calls: dict[int, int] = {}
+        invoked: list[int] = []
 
-        def per_block(sub, inner_eps, inner_rng):
+        def per_block(sub, reps, inner_eps, inner_rng):
             pts, _ = sub.take_rest()
             (b,) = np.unique(block_of(pts))
-            calls[int(b)] = calls.get(int(b), 0) + 1
-            return 0.0
+            invoked.append(int(b))
+            for part in pts.reshape(reps, -1):
+                (b,) = np.unique(block_of(part))
+                calls[int(b)] = calls.get(int(b), 0) + 1
+            return np.zeros(reps)
 
         disjoint_union_da(
             pool,
@@ -394,6 +457,8 @@ class TestDisjointUnionDa:
             block_pool_size=1,
             seed=51,
         )
+        # one callback per distinct drawn block, each handed all its slices
+        assert sorted(invoked) == sorted(set(invoked)) == sorted(calls)
         return calls
 
     def test_reps_per_distinct_block(self):
@@ -425,7 +490,7 @@ class TestDisjointUnionDa:
         with pytest.raises(ValueError, match="partition violation"):
             disjoint_union_da(
                 pool,
-                lambda sub, e, r: 0.0,
+                lambda sub, reps, e, r: np.zeros(reps),
                 eps,
                 num_blocks=2,
                 block_of=block_of,
@@ -440,7 +505,7 @@ class TestDisjointUnionDa:
         with pytest.raises(ValueError, match="partition violation"):
             disjoint_union_da(
                 pool,
-                lambda sub, e, r: 0.0,
+                lambda sub, reps, e, r: np.zeros(reps),
                 0.4,
                 num_blocks=2,
                 block_of=lambda p: p * 1.9,
@@ -453,7 +518,7 @@ class TestDisjointUnionDa:
         with pytest.raises(ValueError, match="partition violation"):
             disjoint_union_da(
                 pool,
-                lambda sub, e, r: 0.0,
+                lambda sub, reps, e, r: np.zeros(reps),
                 0.4,
                 num_blocks=num_blocks,
                 block_of=_block_of_halves,
@@ -465,7 +530,7 @@ class TestDisjointUnionDa:
         with pytest.raises(ValueError):
             disjoint_union_da(
                 pool,
-                lambda sub, e, r: 0.0,
+                lambda sub, reps, e, r: np.zeros(reps),
                 1.5,
                 num_blocks=2,
                 block_of=_block_of_halves,

@@ -177,6 +177,34 @@ class TestDistribution:
         assert set(np.unique(x)) <= {1.0, 2.0, 5.0}
         assert np.mean(x == 5.0) == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_finite_draw_is_rng_choice(self, seed):
+        # same draws and same generator state afterwards as numpy's choice,
+        # on uniform and non-uniform probabilities, zeros included
+        shape = np.random.default_rng(seed + 1000)
+        n = int(shape.integers(1, 60))
+        atoms = shape.permutation(n) + 0.5
+        probs = np.full(n, 1.0 / n) if seed % 2 else shape.random(n) * (shape.random(n) > 0.2)
+        probs = probs / probs.sum() if probs.sum() > 0 else np.full(n, 1.0 / n)
+        dist = Distribution.finite(atoms, probs)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (0, 1, int(shape.integers(2, 500))):
+            np.testing.assert_array_equal(
+                dist.draw(size, ours), theirs.choice(atoms, size=size, p=probs)
+            )
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    def test_direct_finite_construction_derives_cdf(self):
+        atoms, probs = [1.0, 2.0, 5.0], [0.25, 0.25, 0.5]
+        direct = Distribution("finite", atoms=atoms, probs=probs)
+        assert direct == Distribution("finite", atoms=atoms, probs=probs)
+        np.testing.assert_array_equal(
+            direct.draw(300, 7), np.random.default_rng(7).choice(atoms, size=300, p=probs)
+        )
+        with pytest.raises(TypeError):
+            Distribution("finite", atoms=atoms, probs=probs, cdf=np.ones(3))
+
     def test_finite_validation(self):
         with pytest.raises(ValueError):
             Distribution.finite([1.0], [0.5, 0.5])

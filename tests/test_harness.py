@@ -11,6 +11,7 @@ from activetest import (
     TrialConfig,
     TrialReport,
     TruncatedBudget,
+    WeightedSample,
     best_k_grid,
     block_noise_target,
     bundled_best_k,
@@ -118,6 +119,21 @@ class TestLabelBills:
     def test_union_da_plan_sizes_the_pool(self):
         info = _build_union_da(0.1, {}, np.random.default_rng(0)).info
         assert info == {"s": 2313, "reps": 53, "pool": 36533}
+
+    # union-da outputs, as float hex, recorded before its repetitions were
+    # batched into one label call and one row-batched kernel call per block;
+    # batching regroups the work but must not change a bit of the answer
+    _UNION_DA_OUTPUTS = {
+        5: ["0x1.771ccc7221c77p-3", "0x1.78b7d3bd84187p-3"],
+        11: ["0x1.7dcc2876d3217p-3", "0x1.73fca72fda630p-3"],
+        29: ["0x1.776e665d554c4p-3", "0x1.83511189f5182p-3"],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(_UNION_DA_OUTPUTS))
+    def test_union_da_seeded_outputs_pinned(self, seed):
+        rep = run_trials(TrialConfig("union-da", eps=0.1, trials=2, seed=seed))
+        assert [r.output.hex() for r in rep.rows] == self._UNION_DA_OUTPUTS[seed]
+        assert [(r.queries, r.unlabeled) for r in rep.rows] == [(31800, 36533)] * 2
 
 
 class TestRunTrials:
@@ -315,9 +331,26 @@ class TestBundledInstances:
     def test_striped_union_conditional_distance(self):
         mids = 0.5 + (np.arange(1000) + 0.5) / 2000.0
         pool = ActivePool(mids, LabelOracle(striped_union_target()))
-        alpha = exact_interval_block_da(1)(pool, 0.1, None)
+        (alpha,) = exact_interval_block_da(1)(pool, 1, 0.1, None)
         assert alpha == pytest.approx(0.4, abs=1e-12)
         assert pool.oracle.used == 1000
+
+    def test_block_estimator_reads_each_slice_alone(self):
+        # estimate r is the exact distance of slice r solved on its own,
+        # so the rows of the one kernel call stay independent
+        rng = np.random.default_rng(31)
+        target = striped_union_target()
+        for reps, n, d in [(1, 7, 1), (5, 40, 1), (9, 13, 2), (53, 6, 1)]:
+            pts = np.round(rng.random(reps * n) * 30) / 30
+            pool = ActivePool(pts, LabelOracle(target))
+            got = exact_interval_block_da(d)(pool, reps, 0.1, None)
+            labels = target.eval_many(pts)
+            want = [
+                exact_distance_to_intervals(WeightedSample.uniform(p, l), d)[0]
+                for p, l in zip(pts.reshape(reps, n), labels.reshape(reps, n))
+            ]
+            assert got.tolist() == want
+            assert pool.oracle.used == reps * n
 
     def test_bundled_best_k_table_matches_grid(self):
         k_star, table, loss = bundled_best_k(0.2, 1, seed=2, n=60)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from activetest import (
     ActivePool,
@@ -23,6 +24,7 @@ from activetest import (
     rank_positions,
     shrink_interval_union,
 )
+from activetest.intervals import _merge_curve
 
 
 class TestIntervalUnion:
@@ -298,6 +300,78 @@ class TestErrorCurve:
             d = int(rng.integers(0, 6))
             alpha, _ = exact_distance_to_intervals(WeightedSample(pts, w, labels), d)
             assert interval_error_curve(pts, w, labels, d)[d] == alpha
+
+
+@st.composite
+def _row_batches(draw):
+    """Equal-length rows on a small lattice, so positions repeat with
+    mixed labels; all-0 and all-1 rows; uniform or uneven weights, zeros
+    included; and a stop from 0 up past most rows' positive segments."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    lattice = draw(st.integers(1, 2 * n))
+    uniform = draw(st.booleans())
+    pts, weights, labels = [], [], []
+    for _ in range(rows):
+        pts.append(draw(st.lists(st.integers(0, lattice - 1), min_size=n, max_size=n)))
+        kind = draw(st.sampled_from(["mixed", "zeros", "ones"]))
+        if kind == "mixed":
+            labels.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        else:
+            labels.append([int(kind == "ones")] * n)
+        if uniform:
+            weights.append([1.0 / n] * n)
+        else:
+            weights.append([w / 7.0 for w in draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))])
+    stop = draw(st.integers(0, 5))
+    return np.asarray(pts) / lattice, np.asarray(weights), np.asarray(labels), stop
+
+
+class TestRowKernel:
+    @staticmethod
+    def _check_rows(pts, weights, labels, stop, brute=True):
+        batch = _merge_curve(pts, weights, labels, stop)
+        assert len(batch) == pts.shape[0]
+        for r, (costs, spans) in enumerate(batch):
+            ((alone_costs, alone_spans),) = _merge_curve(
+                pts[r : r + 1], weights[r : r + 1], labels[r : r + 1], stop
+            )
+            np.testing.assert_array_equal(costs, alone_costs)
+            assert spans == alone_spans
+            assert len(spans) <= stop
+            witness = IntervalUnion(spans)
+            missed = float(weights[r][witness.evaluate(pts[r]) != labels[r]].sum())
+            assert missed == pytest.approx(costs[-1], abs=1e-12)
+            if brute:
+                expected = _brute_interval_distance(pts[r], weights[r], labels[r], stop)
+                assert costs[-1] == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_row_batches())
+    def test_rows_match_one_row_kernel_and_brute_force(self, batch):
+        self._check_rows(*batch)
+
+    def test_mixed_batch_merged_and_unmerged_rows(self):
+        # union-da's shape: striped rows merge past the stop, all-0 rows
+        # and rows already within it do not; tied and untied rows together
+        rng = np.random.default_rng(16)
+        merged = unmerged = 0
+        for _ in range(40):
+            rows, n, stop = int(rng.integers(2, 12)), int(rng.integers(1, 60)), int(rng.integers(0, 4))
+            pts = rng.random((rows, n))
+            pts[::2] = np.round(pts[::2] * 8) / 8
+            stripes = (np.floor(pts * 10) % 2).astype(np.int8)
+            labels = np.where(rng.random((rows, 1)) < 0.3, 0, stripes)
+            weights = rng.random((rows, n))
+            self._check_rows(pts, weights, labels, stop, brute=False)
+            for costs, _ in _merge_curve(pts, weights, labels, stop):
+                merged += costs.shape[0] > 1
+                unmerged += costs.shape[0] == 1
+        assert merged >= 50 and unmerged >= 50
+
+    def test_empty_rows(self):
+        out = _merge_curve(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), 2)
+        assert [(c.tolist(), s) for c, s in out] == [([0.0], [])] * 3
 
 
 class TestBlockSpec:
