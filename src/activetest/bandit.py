@@ -5,6 +5,10 @@ An arm is good at gap gamma when its mean is at least 1/2+gamma and bad
 when at most 1/2-gamma. `natural_aga` estimates the fraction of good arms
 to additive eps by sampling arms and classifying each by a majority of
 pulls; its pull count is exact and independent of the number of arms.
+`aga_schedule` splits eps between bias and sampling: enough pulls that
+each arm is misclassified with probability at most AGA_BIAS_SHARE*eps
+(Hoeffding), which moves the estimate's expectation by at most that much,
+and enough arms that their mean covers the rest of eps (Hoeffding again).
 
 The star generators build adversarial k-NN fixtures: a star has m hub
 points ("centers") pairwise at distance 1, each with its own radius in
@@ -64,6 +68,11 @@ __all__ = [
     "star_exact_hard_error",
     "recover_good_fraction",
 ]
+
+# Share of aga's eps spent on per-arm misclassification bias; the rest goes
+# to sampling arms (aga_schedule). Fixed, not solved for: at eps=0.05,
+# gamma=0.1 the best share (about 0.087) saves 0.4% of the pulls.
+AGA_BIAS_SHARE = 0.1
 
 
 class ArmSet:
@@ -139,13 +148,23 @@ def pull_many(
 
 
 def aga_schedule(eps: float, gamma: float) -> tuple[int, int]:
-    """Arms sampled and pulls per arm: s = chernoff_iterations(eps/2, 1/6),
-    q = ceil(ln(12s)/(2*gamma^2)). With q pulls an arm at gap gamma is
-    misclassified with probability at most 1/(12s)."""
+    """Arms sampled and pulls per arm, with f = AGA_BIAS_SHARE:
+    q = ceil(ln(1/(f*eps))/(2*gamma^2)) and
+    s = chernoff_iterations((1-f)*eps, 1/3).
+
+    Proof step: by Hoeffding, a majority of q pulls misclassifies an arm
+    at gap gamma with probability at most exp(-2*q*gamma^2) <= f*eps, so
+    the indicator "sampled arm called good" has expectation within f*eps
+    of the good fraction; by Hoeffding, the mean of s such indicators is
+    within (1-f)*eps of that expectation with probability at least 2/3.
+    Per-arm errors need not hold jointly, so there is no union bound over
+    the s arms. At eps=0.05, gamma=0.1 the bill is 443 * 265 = 117,395
+    pulls."""
     if not (0.0 < eps < 1.0) or not (0.0 < gamma <= 0.5):
         raise ValueError("invalid parameter")
-    s = chernoff_iterations(eps / 2.0, 1.0 / 6.0)
-    q = math.ceil(math.log(12.0 * s) / (2.0 * gamma**2))
+    f = AGA_BIAS_SHARE
+    s = chernoff_iterations((1.0 - f) * eps, 1.0 / 3.0)
+    q = math.ceil(math.log(1.0 / (f * eps)) / (2.0 * gamma**2))
     return s, q
 
 
@@ -161,7 +180,10 @@ def natural_aga(
     Picks s arms uniformly with replacement, pulls each q times, and
     calls an arm good when strictly more than half its pulls are
     positive. Requires every arm to be good or bad at gap gamma. Spends
-    exactly s*q pulls, independent of the number of arms.
+    exactly s*q pulls (aga_schedule), independent of the number of arms.
+    The proof step is aga_schedule's: each arm's misclassification biases
+    the estimate by at most AGA_BIAS_SHARE*eps in expectation, and
+    Hoeffding over the s sampled arms covers the rest of eps.
     """
     arms.good_mask(gamma)
     rng = as_generator(seed)

@@ -377,12 +377,13 @@ def composition_segment_sample(
 def striped_union_target() -> TargetFunction:
     """Two equal-mass halves of [0,1): the left half is all zeros; the right
     half is five equal stripes labeled 1,0,1,0,1, whose conditional distance
-    to a single interval is exactly 0.4."""
+    to a single interval is exactly 0.4. The stripe parity is an integer
+    bit test: on [0,1) the stripe index is a small whole number."""
 
     def many(points):
         x = np.asarray(points, dtype=float)
         s = np.floor((x - 0.5) / 0.1)
-        return ((x >= 0.5) & (np.mod(s, 2) == 0)).astype(np.int8)
+        return ((x >= 0.5) & ((s.astype(np.int64) & 1) == 0)).astype(np.int8)
 
     return TargetFunction.from_callable(lambda v: int(many([v])[0]), many)
 

@@ -372,6 +372,17 @@ def interval_da_plan(
     }
 
 
+def _label_and_solve(pool: ActivePool, n: int, d: int) -> DaResult:
+    """Label the pool's next n points and solve their empirical distribution
+    exactly, witness included; the receipt is n unlabeled draws and the
+    labels spent on them."""
+    queries_before = pool.oracle.used
+    pts, idx = pool.take(n)
+    sample = WeightedSample.uniform(pts, pool.label(idx))
+    alpha, witness = exact_distance_to_intervals(sample, d)
+    return DaResult(alpha, pool.oracle.used - queries_before, n, witness)
+
+
 def interval_da_uniform(
     pool: ActivePool,
     eps: float,
@@ -392,19 +403,10 @@ def interval_da_uniform(
     plan = interval_da_plan(
         eps, d, agnostic_constant=agnostic_constant, label_constant=label_constant
     )
+    if plan["route"] == "agnostic":
+        return _label_and_solve(pool, plan["samples"], d)
     queries_before = pool.oracle.used
     unlabeled_before = pool.unlabeled_used
-    if plan["route"] == "agnostic":
-        pts, idx = pool.take(plan["samples"])
-        labels = pool.label(idx)
-        sample = WeightedSample.uniform(pts, labels)
-        alpha, witness = exact_distance_to_intervals(sample, d)
-        return DaResult(
-            alpha,
-            pool.oracle.used - queries_before,
-            pool.unlabeled_used - unlabeled_before,
-            witness,
-        )
     alpha = composition_da(
         pool,
         interval_block_spec(plan["m"]),
@@ -471,10 +473,7 @@ def interval_da(
         eps_run, d, agnostic_constant=agnostic_constant, label_constant=label_constant
     )
     if plan["route"] == "agnostic" or plan["erm_samples"] * plan["repetitions"] >= n_unl:
-        labels = oracle.query_many(draws)
-        sample = WeightedSample.uniform(draws, labels)
-        alpha, witness = exact_distance_to_intervals(sample, d)
-        return DaResult(alpha, oracle.used - queries_before, n_unl, witness)
+        return _label_and_solve(ActivePool(draws, oracle), n_unl, d)
     ranks = rank_positions(draws)
     synth = _composition_pool_size(plan)
     atom_idx = rng.integers(0, n_unl, size=synth)

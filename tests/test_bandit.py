@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from activetest import (
     ArmSet,
@@ -15,6 +16,7 @@ from activetest import (
     build_star_instance_soft,
     chernoff_iterations,
     exact_hard_error,
+    good_arm_means,
     hard_gamma,
     natural_aga,
     pull,
@@ -28,8 +30,8 @@ from activetest import (
     star_soft_plan,
     verify_triangle,
 )
-from activetest.bandit import _assemble, _StarSpace
-from activetest.harness import _build_star_hard
+from activetest.bandit import AGA_BIAS_SHARE, _assemble, _StarSpace
+from activetest.harness import _NEED_TWO_THIRDS, _TRIALS, _build_star_hard
 
 
 class TestArmSet:
@@ -64,10 +66,25 @@ class TestArmSet:
 
 class TestAgaSchedule:
     def test_formula(self):
-        eps, gamma = 0.1, 0.2
+        eps, gamma, f = 0.1, 0.2, AGA_BIAS_SHARE
         s, q = aga_schedule(eps, gamma)
-        assert s == chernoff_iterations(eps / 2, 1 / 6)
-        assert q == math.ceil(math.log(12 * s) / (2 * gamma**2))
+        assert s == chernoff_iterations((1 - f) * eps, 1 / 3)
+        assert q == math.ceil(math.log(1 / (f * eps)) / (2 * gamma**2))
+        assert aga_schedule(0.05, 0.1) == (443, 265)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.3, 0.5])
+    def test_proof_step_holds_exactly(self, eps, gamma):
+        # Bias: a majority of q pulls misclassifies a good arm (mean 1/2+gamma,
+        # at most q/2 positives) or a bad one (mean 1/2-gamma, more than q/2)
+        # with probability at most f*eps, by the exact binomial tails.
+        # Sampling: Hoeffding's two-sided tail at (1-f)*eps over s arms.
+        f = AGA_BIAS_SHARE
+        s, q = aga_schedule(eps, gamma)
+        half = q // 2
+        assert binom.cdf(half, q, 0.5 + gamma) <= f * eps
+        assert binom.sf(half, q, 0.5 - gamma) <= f * eps
+        assert 2 * math.exp(-2 * s * ((1 - f) * eps) ** 2) <= 1 / 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +106,27 @@ class TestNaturalAga:
         s, q = aga_schedule(0.2, 0.4)
         assert arms.pulls.sum() == s * q
         assert abs(out - 0.5) <= 0.2
+
+    @pytest.mark.parametrize("good_frac", [0.1, 0.5, 0.9])
+    def test_seeded_accuracy_on_skewed_and_balanced_packs(self, good_frac):
+        # 300 seeded estimates at eps=0.2, gamma=0.1 over 200 arms land within
+        # eps of the good fraction at least as often as the acceptance suite's
+        # 2/3 rule demands, scaled from its trial count to 300.
+        eps, gamma, trials = 0.2, 0.1, 300
+        means = good_arm_means(200, gamma, good_frac)
+        truth = np.mean(means > 0.5)
+        hits = sum(
+            abs(natural_aga(ArmSet(means), gamma, eps, seed=seed) - truth) <= eps
+            for seed in range(trials)
+        )
+        assert hits >= math.ceil(trials * _NEED_TWO_THIRDS / _TRIALS)
+
+    @pytest.mark.parametrize("n", [1, 7, 200, 10_000])
+    def test_pulls_do_not_depend_on_arm_count(self, n):
+        arms = ArmSet(good_arm_means(n, 0.1, 0.5))
+        natural_aga(arms, 0.1, 0.2, seed=n)
+        s, q = aga_schedule(0.2, 0.1)
+        assert arms.pulls.sum() == s * q == 28 * 196
 
     def test_gap_violation_spends_nothing(self):
         arms = ArmSet([0.9, 0.5])
