@@ -1,11 +1,12 @@
-"""Compositions over block partitions: knapsack distances and active runs.
+"""Compositions over block partitions: truncated distances and active runs.
 
-A composition splits the domain into blocks and, per block, charges a cost
-curve for editing the restriction of a function into the block's class. The
-truncated distance relaxes a total budget and a per-block cap by a factor
-(1 + mu) and is computed exactly by a bounded knapsack. This script walks a
-tiny hand example, then lets the sampling estimators reproduce knapsack
-truths from label queries alone, and closes with a disjoint union whose
+A composition splits the domain into blocks and, per block, charges a convex
+cost curve for editing the restriction of a function into the block's
+class. The truncated distance relaxes a total budget and a per-block cap by
+a factor (1 + mu) and is computed exactly by spending the budget on the
+largest marginal cost decrements over all blocks. This script walks a tiny
+hand example, then lets the sampling estimators reproduce truncated
+distances from label queries alone, and closes with a disjoint union whose
 block masses are never revealed to the algorithm.
 """
 
@@ -27,7 +28,7 @@ from activetest import (
 )
 
 
-def knapsack_section():
+def truncated_distance_section():
     # two blocks of three ids; block classes are "at most k ones"
     sample = WeightedSample.uniform(
         np.arange(6, dtype=float), labels=[1, 1, 1, 0, 1, 1]
@@ -52,7 +53,7 @@ def composition_estimate_section():
         params={"m": 30, "lam": 2.0, "noisy_blocks": 15},
     )
     report = run_trials(config)
-    print("\nsampled composition estimates vs the knapsack truth:")
+    print("\nsampled composition estimates vs the exact truncated distance:")
     for row in report.rows:
         print(
             f"  trial {row.trial}: estimate={row.output:.4f} truth={row.truth:.4f}"
@@ -101,7 +102,7 @@ def disjoint_union_section():
 
 
 def main():
-    knapsack_section()
+    truncated_distance_section()
     composition_estimate_section()
     disjoint_union_section()
 

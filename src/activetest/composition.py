@@ -2,9 +2,9 @@
 
 A composition property puts an independent class on each of m equal-mass
 blocks and a global budget on the total class parameter. Its empirical
-distance is a knapsack over per-block cost curves; its active estimator
-subsamples blocks, so labels scale with the number of sampled blocks rather
-than with m.
+distance gives that budget to the largest decrements of convex per-block
+cost curves; its active estimator subsamples blocks, so labels scale with
+the number of sampled blocks rather than with m.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "TruncatedBudget",
     "distance_to_truncated_composition",
     "composition_da",
+    "composition_plan",
     "disjoint_union_da",
     "disjoint_union_plan",
     "choose_block_indices",
@@ -41,7 +42,7 @@ __all__ = [
 BLOCK_SAMPLE_CONSTANT = 0.5
 
 # Standalone ERM subsample per repetition: ceil(C * 2*floor(d') * ln(2/eps) /
-# (eps/2)^2), d' the knapsack budget. Tuned for the desk-scale Monte Carlo.
+# (eps/2)^2), d' the truncated budget. Tuned for the desk-scale Monte Carlo.
 ERM_SAMPLE_CONSTANT = 0.1
 
 # Median of 3 repetitions, each sized for failure <= 1/6: the median fails
@@ -56,15 +57,13 @@ class CompositionSpec:
 
     block_cost_curve(i, sample_i, kmax) returns the vector [cost(0..kmax)],
     cost(k) being the exact distance of block i's labeled sample to its
-    class at parameter k; it must be non-increasing in k and defined at k=0
-    (the zero-parameter class is nonempty). block_of maps points to block
-    indices.
+    class at parameter k; it must be non-increasing and convex in k, each
+    within 1e-12. block_of maps points to block indices.
     """
 
     num_blocks: int
     block_cost_curve: Callable[[int, WeightedSample, int], np.ndarray]
     block_of: Callable[[np.ndarray], np.ndarray] | None = None
-    zero_class_nonempty: bool = True
 
     def cost_curve(self, i: int, sample_i: WeightedSample, kmax: int) -> np.ndarray:
         return np.asarray(self.block_cost_curve(i, sample_i, kmax), dtype=float)
@@ -72,13 +71,14 @@ class CompositionSpec:
 
 @dataclass(frozen=True)
 class TruncatedBudget:
-    """Total class-parameter budget with a per-block cap."""
+    """Finite total class-parameter budget with a whole-number per-block cap."""
 
     total: float
     cap: int
 
     def __post_init__(self):
-        if self.total < 0 or self.cap < 0:
+        whole_cap = float(self.cap).is_integer() and self.cap >= 0
+        if not (math.isfinite(self.total) and self.total >= 0 and whole_cap):
             raise ValueError("invalid parameter")
 
 
@@ -112,10 +112,16 @@ def distance_to_truncated_composition(
 ) -> float:
     """Exact empirical distance to the truncated composition: minimize the sum
     of per-block costs over allocations with k_i <= cap and sum k_i <=
-    floor(total). Knapsack over the block cost curves.
+    floor(total).
+
+    Convex curves have non-increasing decrements cost(k-1) - cost(k), so
+    the optimum takes the floor(total) largest positive decrements over all
+    blocks (Gross 1956): exchanging an untaken larger decrement for a taken
+    smaller one never costs more. The distance is the sum of the curves'
+    minima plus the positive decrements left untaken, summed upward from
+    the exact minima so that a zero distance reads exactly 0.0. A curve
+    that increases or is not convex by more than 1e-12 raises ValueError.
     """
-    if not spec.zero_class_nonempty:
-        raise ValueError("invalid class parameter")
     ids = np.asarray(block_ids)
     if ids.shape[0] != len(sample):
         raise ValueError("partition violation")
@@ -126,25 +132,22 @@ def distance_to_truncated_composition(
     if sample.labels is None:
         raise ValueError("domain mismatch")
     total = int(math.floor(budget.total))
-    cap = int(budget.cap)
-    dp = np.zeros(total + 1)
+    kmax = min(int(budget.cap), total)
+    floors = np.empty(spec.num_blocks)
+    drops = [np.empty(0)]
     for i in range(spec.num_blocks):
         mask = ids == i
-        sub = WeightedSample(
-            sample.points[mask], sample.weights[mask], sample.labels[mask]
-        )
-        kmax = min(cap, total)
-        curve = spec.cost_curve(i, sub, kmax)
-        if np.any(np.diff(curve) > 1e-12):
+        sub = WeightedSample(sample.points[mask], sample.weights[mask], sample.labels[mask])
+        curve = spec.cost_curve(i, sub, kmax)[: kmax + 1]
+        drop = curve[:-1] - curve[1:]
+        if np.any(drop < -1e-12) or np.any(drop[1:] > drop[:-1] + 1e-12):
             raise ValueError("invalid class parameter")
-        new = np.full(total + 1, np.inf)
-        # past the curve's first minimum a larger k costs no less and uses
-        # more budget; dp is non-increasing, so those k never win
-        for k in range(int(np.argmin(curve[: kmax + 1])) + 1):
-            c = curve[k]
-            new[k:] = np.minimum(new[k:], dp[: total + 1 - k] + c)
-        dp = new
-    return float(dp.min())
+        floors[i] = curve.min()
+        drops.append(drop[drop > 0])
+    gains = np.concatenate(drops)
+    untaken = gains.shape[0] - total
+    rest = np.partition(gains, untaken - 1)[:untaken].sum() if untaken > 0 else 0.0
+    return float(floors.sum() + rest)
 
 
 def choose_block_indices(m: int, l: int, rng) -> np.ndarray:
@@ -152,12 +155,10 @@ def choose_block_indices(m: int, l: int, rng) -> np.ndarray:
     return np.sort(as_generator(rng).choice(m, size=min(l, m), replace=False))
 
 
-def block_sample_count(
-    eps: float, mu: float, *, constant: float = BLOCK_SAMPLE_CONSTANT
-) -> int:
+def block_sample_count(eps: float, mu: float) -> int:
     if not (0.0 < eps) or not (0.0 < mu):
         raise ValueError("invalid parameter")
-    return max(1, math.ceil(constant * (1.0 / (eps * mu * mu) + 1.0 / (eps * eps))))
+    return max(1, math.ceil(BLOCK_SAMPLE_CONSTANT * (1.0 / (eps * mu * mu) + 1.0 / (eps * eps))))
 
 
 def _draws_for_hits(hits: int, rate: float) -> int:
@@ -165,6 +166,28 @@ def _draws_for_hits(hits: int, rate: float) -> int:
     probability comfortably above 11/12 (multiplicative Chernoff padding)."""
     pad = hits + 2.0 * math.sqrt(3.0 * hits) + 6.0
     return math.ceil(pad / rate)
+
+
+def composition_plan(
+    m: int, lam: float, eps: float, mu: float, *, erm_samples: int | None = None
+) -> dict:
+    """Sizing of :func:`composition_da` over m blocks at per-block rate lam:
+    l = min(m, block_sample_count(eps, mu)) blocks, budget total =
+    floor((1+mu/2)*lam*l) with cap = max(1, floor(4*lam/eps)), erm_samples
+    labels per repetition (default from ERM_SAMPLE_CONSTANT) and the
+    median's ORACLE_REPETITIONS."""
+    if not (0.0 < eps < 1.0) or mu <= 0 or lam <= 0:
+        raise ValueError("invalid parameter")
+    l = min(m, block_sample_count(eps, mu))
+    total = int(math.floor((1.0 + mu / 2.0) * lam * l))
+    if erm_samples is None:
+        scale = ERM_SAMPLE_CONSTANT * 2.0 * max(total, 1)
+        erm_samples = max(1, math.ceil(scale * math.log(2.0 / eps) / (eps / 2.0) ** 2))
+    cap = max(1, int(math.floor(4.0 * lam / eps)))
+    return {
+        "l": l, "total": total, "cap": cap, "erm_samples": int(erm_samples),
+        "repetitions": ORACLE_REPETITIONS,
+    }
 
 
 def composition_da(
@@ -176,41 +199,27 @@ def composition_da(
     *,
     seed: int | None | np.random.Generator = None,
     erm_samples: int | None = None,
-    block_constant: float = BLOCK_SAMPLE_CONSTANT,
-    erm_constant: float = ERM_SAMPLE_CONSTANT,
-    repetitions: int = ORACLE_REPETITIONS,
 ) -> float:
     """Bi-criteria distance approximation for a composition with per-block
     rate lam over m blocks.
 
-    Samples l = min(m, ceil(C*(1/(eps*mu^2)+1/eps^2))) blocks without
-    replacement, pulls unlabeled points until enough land in the chosen
-    blocks, and runs the exact truncated solver on a labeled subsample with
-    budget floor((1+mu/2)*lam*l) and cap floor(4*lam/eps), repeated
-    `repetitions` times with the median taken. For the true distance alpha to
-    the budget-lam*m composition, the output exceeds alpha-eps unless the
+    Samples l blocks without replacement, pulls unlabeled points until
+    enough land in them, and takes the median of the exact truncated solver
+    over the repetitions, each on its own erm_samples labeled points, all
+    sized by :func:`composition_plan`. For the true distance alpha to the
+    budget-lam*m composition, the output exceeds alpha-eps unless the
     function is within alpha of the (1+mu)-inflated budget, and stays below
     alpha+eps when it is within alpha of the base budget, each with
     probability at least 2/3.
     """
-    if not (0.0 < eps < 1.0) or mu <= 0 or lam <= 0:
-        raise ValueError("invalid parameter")
+    m = spec.num_blocks
+    plan = composition_plan(m, lam, eps, mu, erm_samples=erm_samples)
     if spec.block_of is None:
         raise ValueError("partition violation")
     rng = as_generator(seed)
-    m = spec.num_blocks
-    l = min(m, block_sample_count(eps, mu, constant=block_constant))
+    l, q = plan["l"], plan["erm_samples"]
     chosen = choose_block_indices(m, l, rng)
-    d_knap = int(math.floor((1.0 + mu / 2.0) * lam * l))
-    t_cap = max(1, int(math.floor(4.0 * lam / eps)))
-    if erm_samples is None:
-        erm_samples = max(
-            1,
-            math.ceil(
-                erm_constant * 2.0 * max(d_knap, 1) * math.log(2.0 / eps) / (eps / 2.0) ** 2
-            ),
-        )
-    need = int(erm_samples) * repetitions
+    need = q * plan["repetitions"]
     chosen_set = np.zeros(m, dtype=bool)
     chosen_set[chosen] = True
     hit_pts: list[np.ndarray] = []
@@ -230,17 +239,16 @@ def composition_da(
         goal = _draws_for_hits(need - have, l / m) if have < need else 0
     pts_hit = np.concatenate(hit_pts)[:need]
     idx_hit = np.concatenate(hit_idx)[:need]
-    # remap chosen block ids to 0..l-1 for the knapsack
+    # remap chosen block ids to 0..l-1 for the solver
     remap = np.full(m, -1, dtype=np.intp)
     remap[chosen] = np.arange(l)
     sub_spec = CompositionSpec(
         num_blocks=l,
         block_cost_curve=lambda j, s, kmax: spec.block_cost_curve(int(chosen[j]), s, kmax),
     )
-    budget = TruncatedBudget(total=d_knap, cap=t_cap)
+    budget = TruncatedBudget(total=plan["total"], cap=plan["cap"])
     estimates = []
-    q = int(erm_samples)
-    for r in range(repetitions):
+    for r in range(plan["repetitions"]):
         sl = slice(r * q, (r + 1) * q)
         pts_r = pts_hit[sl]
         labels_r = pool.label(idx_hit[sl])

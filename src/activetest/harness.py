@@ -39,12 +39,10 @@ from .bandit import (
     star_exact_hard_error,
 )
 from .composition import (
-    ERM_SAMPLE_CONSTANT,
-    ORACLE_REPETITIONS,
     TruncatedBudget,
     at_most_k_ones_spec,
-    block_sample_count,
     composition_da,
+    composition_plan,
     disjoint_union_da,
     disjoint_union_plan,
     distance_to_truncated_composition,
@@ -542,17 +540,14 @@ def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     target = block_noise_target(m, mask)
     spec = interval_block_spec(m)
     sample, ids = composition_segment_sample(m, target)
-    cap = max(1, math.floor(4.0 * lam / eps))
+    plan = composition_plan(m, lam, eps, mu)
     truth = distance_to_truncated_composition(
-        sample, ids, spec, TruncatedBudget(total=lam * m, cap=cap)
+        sample, ids, spec, TruncatedBudget(total=lam * m, cap=plan["cap"])
     )
     pool_size = p["pool"]
     if pool_size is None:
-        l = min(m, block_sample_count(eps, mu))
-        d_knap = max(1, math.floor((1.0 + mu / 2.0) * lam * l))
-        erm_scale = ERM_SAMPLE_CONSTANT * 2.0 * d_knap
-        erm = max(1, math.ceil(erm_scale * math.log(2.0 / eps) / (eps / 2.0) ** 2))
-        pool_size = math.ceil(1.35 * ORACLE_REPETITIONS * erm * m / l) + 256
+        reps, erm = plan["repetitions"], plan["erm_samples"]
+        pool_size = math.ceil(1.35 * reps * erm * m / plan["l"]) + 256
 
     def run(trial_rng: np.random.Generator):
         oracle = LabelOracle(target)

@@ -19,10 +19,9 @@ import numpy as np
 
 from .active_reduction import active_sample_size
 from .composition import (
-    ORACLE_REPETITIONS,
     CompositionSpec,
-    block_sample_count,
     composition_da,
+    composition_plan,
     uniform_block_index,
     _draws_for_hits,
 )
@@ -337,10 +336,11 @@ def interval_da_plan(
     Larger ones cut [0,1] into m = floor(eps*d/8) blocks and run the
     composition estimator with inflated per-block rate lam_eff =
     (1+eps/8)*d/m (block boundaries split at most m intervals), inner
-    accuracy eps/2, truncation 4*lam_eff/(eps/2), and bi-criteria slack
-    1+mu = (1+eps/4)/(1+eps/8). Removing the ceil(eps*k/2) shortest
-    intervals of a (1+eps/4)d-interval witness costs under eps/2 + 1/d, so
-    the bi-criteria answer already satisfies the plain contract at eps.
+    accuracy eps/2 and bi-criteria slack 1+mu = (1+eps/4)/(1+eps/8); the
+    estimator's :func:`composition_plan`, with erm_samples a function of
+    eps alone, is merged in. Removing the ceil(eps*k/2) shortest intervals
+    of a (1+eps/4)d-interval witness costs under eps/2 + 1/d, so the
+    bi-criteria answer already satisfies the plain contract at eps.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("invalid parameter")
@@ -366,9 +366,7 @@ def interval_da_plan(
         "lam_eff": lam_eff,
         "eps_inner": eps_inner,
         "mu": mu,
-        "t": 4.0 * lam_eff / eps_inner,
-        "erm_samples": q_rep,
-        "repetitions": ORACLE_REPETITIONS,
+        **composition_plan(m, lam_eff, eps_inner, mu, erm_samples=q_rep),
     }
 
 
@@ -415,7 +413,6 @@ def interval_da_uniform(
         plan["mu"],
         seed=rng,
         erm_samples=plan["erm_samples"],
-        repetitions=plan["repetitions"],
     )
     return DaResult(
         alpha,
@@ -426,10 +423,8 @@ def interval_da_uniform(
 
 
 def _composition_pool_size(plan: dict) -> int:
-    m = plan["m"]
-    l = min(m, block_sample_count(plan["eps_inner"], plan["mu"]))
     need = plan["erm_samples"] * plan["repetitions"]
-    return 2 * _draws_for_hits(need, l / m) + 4 * m + 64
+    return 2 * _draws_for_hits(need, plan["l"] / plan["m"]) + 4 * plan["m"] + 64
 
 
 def interval_da(

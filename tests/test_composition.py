@@ -1,4 +1,4 @@
-"""Tests for the truncated-composition knapsack and the block samplers."""
+"""Tests for the truncated-composition solver and the block samplers."""
 
 import itertools
 import math
@@ -19,6 +19,7 @@ from activetest import (
     block_sample_count,
     choose_block_indices,
     composition_da,
+    composition_plan,
     disjoint_union_da,
     disjoint_union_plan,
     distance_to_truncated_composition,
@@ -26,6 +27,7 @@ from activetest import (
     interval_block_spec,
     uniform_block_index,
 )
+from activetest.composition import ERM_SAMPLE_CONSTANT, ORACLE_REPETITIONS
 from activetest.core import chernoff_iterations, median_repetitions
 
 
@@ -40,6 +42,9 @@ class TestTruncatedBudget:
             TruncatedBudget(total=-1.0, cap=2)
         with pytest.raises(ValueError):
             TruncatedBudget(total=3.0, cap=-1)
+        for total, cap in ((2, 1.7), (math.nan, 2), (2, math.nan), (math.inf, 2), (2, math.inf)):
+            with pytest.raises(ValueError, match="invalid parameter"):
+                TruncatedBudget(total=total, cap=cap)
 
 
 class TestUniformBlockIndex:
@@ -117,8 +122,8 @@ class TestTruncatedDistance:
             assert got == pytest.approx(_brute_truncated(s, ids, spec, budget), abs=1e-12)
 
     def test_flat_tails_match_every_k_knapsack(self):
-        # reference: the knapsack over every k <= kmax, with no cut at the
-        # curve's first minimum; the cut must not change a single bit
+        # reference: the knapsack DP over every k <= kmax, at budgets beyond
+        # brute-force reach
         def every_k(curves, total, kmax):
             dp = np.zeros(total + 1)
             for curve in curves:
@@ -131,11 +136,13 @@ class TestTruncatedDistance:
         rng = np.random.default_rng(23)
         for trial in range(60):
             m = int(rng.integers(1, 7))
-            cap = int(rng.integers(0, 40))
+            cap = int(rng.integers(0, 41))
             total = int(rng.integers(0, 3 * cap + 2))
             curves = []
             for _ in range(m):
-                head = np.sort(np.round(rng.random(int(rng.integers(1, 6))), 2))[::-1]
+                # convex head: positive decrements in descending order
+                drops = np.sort(np.round(rng.random(int(rng.integers(0, 6))), 2))[::-1]
+                head = drops.sum() - np.concatenate(([0.0], np.cumsum(drops)))
                 tail = np.full(cap + 1, head[-1])
                 if trial % 2:
                     # upward drift within the monotonicity tolerance
@@ -149,7 +156,7 @@ class TestTruncatedDistance:
             got = distance_to_truncated_composition(
                 sample, np.arange(m), spec, TruncatedBudget(total=total, cap=cap)
             )
-            assert got == every_k(curves, total, min(cap, total))
+            assert got == pytest.approx(every_k(curves, total, min(cap, total)), abs=1e-12)
 
     def test_cap_relaxation_is_monotone(self):
         spec = at_most_k_ones_spec(3)
@@ -182,22 +189,16 @@ class TestTruncatedDistance:
         with pytest.raises(ValueError, match="domain mismatch"):
             distance_to_truncated_composition(unlabeled, ids, spec, budget)
 
-    def test_empty_zero_class_rejected(self):
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            lambda kmax: np.arange(kmax + 1.0),  # increasing
+            lambda kmax: np.array([1.0, 0.9, 0.2, 0.2])[: kmax + 1],  # not convex
+        ],
+    )
+    def test_non_monotone_curve_rejected(self, curve):
         spec = CompositionSpec(
-            num_blocks=1,
-            block_cost_curve=lambda i, s, kmax: np.zeros(kmax + 1),
-            zero_class_nonempty=False,
-        )
-        s = WeightedSample.uniform(np.zeros(1), labels=[0])
-        with pytest.raises(ValueError, match="invalid class parameter"):
-            distance_to_truncated_composition(
-                s, np.zeros(1, dtype=int), spec, TruncatedBudget(total=1, cap=1)
-            )
-
-    def test_non_monotone_curve_rejected(self):
-        spec = CompositionSpec(
-            num_blocks=1,
-            block_cost_curve=lambda i, s, kmax: np.arange(kmax + 1.0),  # increasing: invalid
+            num_blocks=1, block_cost_curve=lambda i, s, kmax: curve(kmax)
         )
         s = WeightedSample.uniform(np.zeros(2), labels=[0, 1])
         with pytest.raises(ValueError, match="invalid class parameter"):
@@ -218,13 +219,44 @@ class TestBlockSamplers:
         assert block_sample_count(0.25, 0.5) == max(
             1, math.ceil(0.5 * (1 / (0.25 * 0.25) + 1 / 0.0625))
         )
-        assert block_sample_count(0.1, 1.0, constant=2.0) == math.ceil(
-            2.0 * (1 / 0.1 + 100.0)
-        )
         with pytest.raises(ValueError):
             block_sample_count(0.0, 0.5)
         with pytest.raises(ValueError):
             block_sample_count(0.1, 0.0)
+
+
+class TestCompositionPlan:
+    @pytest.mark.parametrize("m", [1, 40, 10_000])
+    @pytest.mark.parametrize(
+        "lam,eps,mu", [(2.0, 0.15, 0.5), (1.0, 0.3, 0.5), (0.5, 0.25, 2.0), (41.0, 0.1, 0.0244)]
+    )
+    def test_matches_inline_formulas(self, m, lam, eps, mu):
+        plan = composition_plan(m, lam, eps, mu)
+        # composition_da's former inline sizing, then the compose-da pool's
+        # copy of the erm formula
+        l = min(m, block_sample_count(eps, mu))
+        d_knap = int(math.floor((1.0 + mu / 2.0) * lam * l))
+        erm = max(
+            1,
+            math.ceil(
+                ERM_SAMPLE_CONSTANT * 2.0 * max(d_knap, 1) * math.log(2.0 / eps) / (eps / 2.0) ** 2
+            ),
+        )
+        assert plan == {
+            "l": l,
+            "total": d_knap,
+            "cap": max(1, int(math.floor(4.0 * lam / eps))),
+            "erm_samples": erm,
+            "repetitions": ORACLE_REPETITIONS,
+        }
+        erm_scale = ERM_SAMPLE_CONSTANT * 2.0 * max(1, math.floor((1.0 + mu / 2.0) * lam * l))
+        assert plan["erm_samples"] == max(
+            1, math.ceil(erm_scale * math.log(2.0 / eps) / (eps / 2.0) ** 2)
+        )
+
+    def test_erm_samples_override(self):
+        plan = composition_plan(40, 2.0, 0.15, 0.5, erm_samples=50)
+        assert plan == {**composition_plan(40, 2.0, 0.15, 0.5), "erm_samples": 50}
 
 
 class TestCompositionDa:
@@ -257,9 +289,8 @@ class TestCompositionDa:
             0.5,
             seed=13,
             erm_samples=40,
-            repetitions=5,
         )
-        assert pool.oracle.used == 200
+        assert pool.oracle.used == 40 * ORACLE_REPETITIONS
 
     def test_insufficient_pool(self):
         pool = ActivePool(

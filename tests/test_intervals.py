@@ -15,6 +15,7 @@ from activetest import (
     TargetFunction,
     WeightedSample,
     active_sample_size,
+    composition_plan,
     exact_distance_to_intervals,
     interval_block_spec,
     interval_da,
@@ -24,6 +25,7 @@ from activetest import (
     rank_positions,
     shrink_interval_union,
 )
+from activetest.composition import ORACLE_REPETITIONS
 from activetest.intervals import _merge_curve
 
 
@@ -446,7 +448,15 @@ class TestPlan:
         assert plan["lam_eff"] == pytest.approx(1.025 * plan["lam"])
         assert plan["eps_inner"] == pytest.approx(0.1)
         assert plan["mu"] == pytest.approx(1.05 / 1.025 - 1.0)
-        assert plan["repetitions"] == 3
+        assert plan["repetitions"] == ORACLE_REPETITIONS == 3
+        sizing = composition_plan(
+            plan["m"],
+            plan["lam_eff"],
+            plan["eps_inner"],
+            plan["mu"],
+            erm_samples=plan["erm_samples"],
+        )
+        assert {k: plan[k] for k in sizing} == sizing
         # label spend is a function of eps alone
         assert (
             plan["erm_samples"]
