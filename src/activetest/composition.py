@@ -135,10 +135,15 @@ def distance_to_truncated_composition(
     kmax = min(int(budget.cap), total)
     floors = np.empty(spec.num_blocks)
     drops = [np.empty(0)]
+    # Block i's points are rows edges[i]:edges[i+1] of the sample sorted
+    # stably by block id, in their sample order.
+    ids = ids.astype(np.intp)
+    order = np.argsort(ids, kind="stable")
+    pts, wts, lab = sample.points[order], sample.weights[order], sample.labels[order]
+    edges = [0] + np.cumsum(np.bincount(ids, minlength=spec.num_blocks)).tolist()
     for i in range(spec.num_blocks):
-        mask = ids == i
-        sub = WeightedSample(sample.points[mask], sample.weights[mask], sample.labels[mask])
-        curve = spec.cost_curve(i, sub, kmax)[: kmax + 1]
+        a, b = edges[i], edges[i + 1]
+        curve = spec.cost_curve(i, WeightedSample(pts[a:b], wts[a:b], lab[a:b]), kmax)[: kmax + 1]
         drop = curve[:-1] - curve[1:]
         if np.any(drop < -1e-12) or np.any(drop[1:] > drop[:-1] + 1e-12):
             raise ValueError("invalid class parameter")

@@ -4,9 +4,10 @@ label-frugal estimators of its loss.
 Points are integer ids into a finite metric space. A pool of candidate
 neighbors ranks by distance, ties broken by pool position; the estimators
 rank each distinct test point once, and select only its k nearest when k
-is fixed. Predictors
-read a fully labeled pool for free; the estimators pay for every label
-through the instance's oracle and report exact query counts.
+is fixed. `best_k` reads the neighbors of every grid point from one shared
+set of uniforms (common random numbers) and labels them in one call.
+Predictors read a fully labeled pool for free; the estimators pay for
+every label through the instance's oracle and report exact query counts.
 
 Estimator accuracy contracts are additive-eps with success probability
 at least 2/3; iteration counts come from `chernoff_iterations`. Exact
@@ -52,6 +53,11 @@ __all__ = [
     "knn_instance_to_json",
     "knn_instance_from_json",
 ]
+
+# Most labels `best_k` asks for in one oracle call. The grid is cut into
+# whole grid points so that each call's rank, index and id arrays stay
+# within 8 MB apiece, unless one grid point alone needs more.
+_GRID_CHUNK_LABELS = 2**20
 
 
 class MetricSpace:
@@ -271,6 +277,17 @@ def _pool_labels(inst: KnnInstance) -> np.ndarray:
     return inst.oracle.target.eval_many(inst.pool)
 
 
+def _all_differ(fj: np.ndarray, fx: np.ndarray):
+    # Draws whose p neighbor labels fj[..., i, :] all differ from the test
+    # label fx[i], counted along the draw axis; for 0/1 labels this is the
+    # sum of the products of the p label differences. By column, as
+    # short-axis reductions are slow.
+    hit = fj[..., 0] != fx
+    for c in range(1, fj.shape[-1]):
+        hit &= fj[..., c] != fx
+    return np.count_nonzero(hit, axis=-1)
+
+
 def _soft_many(inst: KnnInstance, x_ids, k: int) -> np.ndarray:
     labels = _pool_labels(inst)[inst.ranking(x_ids, k)]
     return labels.mean(axis=1)
@@ -319,8 +336,7 @@ def estimate_soft_loss_pth(
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     j = rng.integers(0, k, size=(t, p))
     fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, p)
-    vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
-    return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
+    return LossEstimate(float(_all_differ(fj, fx) / t), inst.oracle.used - before, t)
 
 
 def lipschitz_inner_samples(lipschitz: float, eps: float, iterations: int) -> int:
@@ -406,8 +422,7 @@ def estimate_weighted_nn_loss(
         probs = _normalized_weights(inst, weights(dists))
         chosen_pos[i] = rng.choice(inst.size, size=p, replace=True, p=probs)
     fj = inst.oracle.query_many(inst.pool[chosen_pos].ravel()).reshape(t, p)
-    vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
-    return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
+    return LossEstimate(float(_all_differ(fj, fx) / t), inst.oracle.used - before, t)
 
 
 def estimate_hard_error(
@@ -456,6 +471,14 @@ def best_k_grid(n: int, p: int, eps: float) -> list[int]:
     return sorted(grid)
 
 
+def _coupled_ranks(u: np.ndarray, ks) -> np.ndarray:
+    """Rank floor(u*k) for each k in ks and each uniform u in [0, 1) of the
+    2-d array u: a (len(ks), *u.shape) int32 array. Rounding to nearest
+    keeps u*k below k, so the rank lies in {0..k-1}, and it does not
+    decrease as k grows."""
+    return (u * np.asarray(ks, dtype=float)[:, None, None]).astype(np.int32)
+
+
 def best_k(
     inst: KnnInstance,
     test_dist: Distribution,
@@ -472,13 +495,28 @@ def best_k(
     Hoeffding each grid estimate is within eps/3 with probability at least
     1 - 1/(9G), and a union bound over the grid fails with probability at
     most 1/9; the median trick would buy the same bound with about 30
-    times the draws. Test points and their labels are shared across the
-    grid (the per-k guarantees are marginal, so the union bound is
-    unaffected), and each distinct test point is ranked once for the
-    whole grid; neighbor draws are fresh per k. Returns the grid point
-    with the smallest estimate and the full (k, estimate) table. The
-    winner's true loss is within eps of the best over all k in {1..N}
-    with probability at least 2/3. Spends T'*(1 + G*p) queries.
+    times the draws. Returns the grid point with the smallest estimate and
+    the full (k, estimate) table. The winner's true loss is within eps of
+    the best over all k in {1..N} with probability at least 2/3. Spends
+    T'*(1 + G*p) queries.
+
+    The grid shares its randomness. Test points and their labels are
+    drawn once, and each distinct test point is ranked once. Neighbor
+    draws are coupled (common random numbers): one uniform u per draw and
+    column, and grid point k reads rank floor(u*k) of the draw's ranking.
+    For a fixed k the T' draws stay i.i.d., so each grid estimate keeps
+    its Hoeffding bound, and the union bound needs only these per-k
+    marginals; the coupling across k does not enter it. u is uniform on
+    the 2**53 multiples of 2**-53 in [0, 1), so each rank receives the
+    floor or the ceil of 2**53/k of them, up to rounding at the rank
+    edges, and floor(u*k) is within k*2**-53 of uniform on {0..k-1} in
+    total variation.
+
+    The neighbors of all grid points are gathered at once and labeled in
+    one oracle call, grid point by grid point, draw by draw, column by
+    column; past _GRID_CHUNK_LABELS labels the grid is cut into chunks of
+    whole grid points, one call each. The oracle charges each call before
+    reading a label, so a budget short of a chunk refuses that chunk whole.
     """
     p = _check_p(p)
     eps = _check_eps(eps, upper=0.5)
@@ -486,15 +524,20 @@ def best_k(
     grid = best_k_grid(inst.size, p, eps)
     total = chernoff_iterations(eps / 3.0, 1.0 / (9.0 * len(grid)))
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, total, rng)
-    table: list[tuple[int, float]] = []
-    for k in grid:
-        j = rng.integers(0, k, size=(total, p))
-        fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(total, p)
-        # all differ = the 0/1 product; by column, as short-axis reductions are slow
-        vals = np.all([fj[:, c] != fx for c in range(p)], axis=0)
-        table.append((k, float(vals.mean())))
-    k_star = grid[int(np.argmin([v for _, v in table]))]
-    return k_star, table
+    u = rng.random((total, p))
+    flat = nbr.ravel()
+    # Row offsets into flat, int32 like the ranks unless flat outgrows it.
+    rows = (inv * inst.size).astype(np.int32 if flat.size < 2**31 else np.intp)
+    step = max(1, _GRID_CHUNK_LABELS // (total * p))
+    hits = []
+    for lo in range(0, len(grid), step):
+        j = _coupled_ranks(u, grid[lo : lo + step]).astype(rows.dtype, copy=False)
+        j += rows[:, None]
+        fj = inst.oracle.query_many(flat[j].ravel()).reshape(j.shape)
+        hits.append(_all_differ(fj, fx))
+    losses = np.concatenate(hits) / total
+    table = [(k, float(v)) for k, v in zip(grid, losses)]
+    return grid[int(np.argmin(losses))], table
 
 
 def loss_stability_bound(p: int, k1: int, k2: int) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from activetest import (
+    BudgetExceededError,
     Distribution,
     KnnInstance,
     LabelOracle,
@@ -35,6 +36,7 @@ from activetest import (
     run_trials,
     verify_triangle,
 )
+from activetest import knn
 from activetest.harness import _NEED_TWO_THIRDS, _TRIALS, _build_best_k
 
 
@@ -421,14 +423,17 @@ def _reference_draws(inst, dist, n, rng):
 
 
 def _reference_best_k(inst, dist, p, eps, seed):
+    # One uniform per draw and column, shared by the grid: grid point k
+    # reads rank floor(u * k); one label call per grid point.
     rng = np.random.default_rng(seed)
     grid = best_k_grid(inst.size, p, eps)
     t = chernoff_iterations(eps / 3.0, 1.0 / (9.0 * len(grid)))
     x, fx = _reference_draws(inst, dist, t, rng)
     rank = inst.ranking(x)
+    u = rng.random((t, p))
     table = []
     for k in grid:
-        j = rng.integers(0, k, size=(t, p))
+        j = np.floor(u * k).astype(np.intp)
         chosen = np.take_along_axis(rank[:, :k], j, axis=1)
         fj = inst.oracle.query_many(inst.pool[chosen].ravel()).reshape(t, p)
         vals = np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1)
@@ -515,11 +520,17 @@ class TestDistinctRankingEquivalence:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_best_k(self, case, p):
+        # best_k labels the whole grid in one call where the reference makes
+        # one per grid point, so the label streams are compared end to end.
         make, dist = case
         new, ref = make(), make()
         got = best_k(new, dist, p, 0.45, seed=p)
         assert got == _reference_best_k(ref, dist, p, 0.45, seed=p)
-        self._assert_same_queries(new, ref)
+        assert new.oracle.used == ref.oracle.used
+        assert len(new.oracle.batches) == 2
+        np.testing.assert_array_equal(
+            np.concatenate(new.oracle.batches), np.concatenate(ref.oracle.batches)
+        )
 
     def test_soft_loss_pth(self, case):
         make, dist = case
@@ -559,6 +570,79 @@ def test_best_k_ranks_each_distinct_test_id_once(monkeypatch):
     monkeypatch.setattr(KnnInstance, "ranking", counting_ranking)
     bundle.info["search"](np.random.default_rng(1))
     assert 0 < sum(rows) <= bundle.info["n"]
+
+
+def _count_label_calls(monkeypatch):
+    calls = []
+    query_many = LabelOracle.query_many
+
+    def counting_query_many(self, points):
+        calls.append(len(points))
+        return query_many(self, points)
+
+    monkeypatch.setattr(LabelOracle, "query_many", counting_query_many)
+    return calls
+
+
+def test_best_k_labels_the_grid_in_one_call(monkeypatch):
+    # Work guard, no timing: the bundled n=200, p=2 search makes one label
+    # call for its 874 test draws and one for its 131 * 874 * 2 = 228,988
+    # grid labels, so a return to a call per grid point fails here.
+    bundle = _build_best_k(0.2, {"n": 200, "p": 2}, np.random.default_rng(0))
+    calls = _count_label_calls(monkeypatch)
+    bundle.info["search"](np.random.default_rng(1))
+    assert calls == [874, 131 * 874 * 2]
+
+
+@pytest.mark.parametrize("per_call", [10, 1])
+def test_best_k_chunks_whole_grid_points(monkeypatch, per_call):
+    # With the per-call limit lowered to `per_call` grid points' labels, the
+    # grid takes ceil(G*T'*p / limit) calls after the test draws' call, and
+    # the choice, table and bill match the one-call search.
+    bundle = _build_best_k(0.2, {"n": 200, "p": 2}, np.random.default_rng(0))
+    calls = _count_label_calls(monkeypatch)
+    one_call = bundle.info["search"](np.random.default_rng(1))
+    g, t = 131, 874
+    limit = per_call * t * 2
+    monkeypatch.setattr(knn, "_GRID_CHUNK_LABELS", limit)
+    calls.clear()
+    assert bundle.info["search"](np.random.default_rng(1)) == one_call
+    assert len(calls) == math.ceil(g * t * 2 / limit) + 1
+    assert calls[1:] == [limit] * (len(calls) - 2) + [(g % per_call or per_call) * t * 2]
+
+
+class TestCoupledRanks:
+    def test_extreme_uniforms_hit_the_end_ranks(self):
+        ks = np.arange(1, 10**6 + 1)
+        top = knn._coupled_ranks(np.array([[np.nextafter(1.0, 0.0)]]), ks)
+        np.testing.assert_array_equal(top[:, 0, 0], ks - 1)
+        bottom = knn._coupled_ranks(np.array([[0.0]]), ks)
+        assert not bottom.any()
+
+    def test_ranks_do_not_decrease_along_the_grid(self):
+        grid = best_k_grid(5000, 3, 0.05)
+        u = np.random.default_rng(17).random((500, 3))
+        j = knn._coupled_ranks(u, grid)
+        assert j.shape == (len(grid), 500, 3)
+        assert np.all(np.diff(j, axis=0) >= 0)
+        assert np.all(j < np.asarray(grid)[:, None, None])
+
+    def test_budget_refuses_the_grid_call_whole(self):
+        # G = 131, T' = 874, p = 2: the bill is 874 * (1 + 131 * 2) = 229,862
+        # labels; one label short, the grid call is refused before any grid
+        # label is charged.
+        rng = np.random.default_rng(18)
+        space = MetricSpace.euclidean1d(rng.random(400))
+        target = TargetFunction.from_labels(rng.integers(0, 2, size=400))
+        dist = id_distribution(np.arange(200, 400))
+        bill = 874 * (1 + 131 * 2)
+        inst = KnnInstance(space, np.arange(200), LabelOracle(target, budget=bill))
+        best_k(inst, dist, 2, 0.2, seed=19)
+        assert inst.oracle.used == bill
+        inst = KnnInstance(space, np.arange(200), LabelOracle(target, budget=bill - 1))
+        with pytest.raises(BudgetExceededError):
+            best_k(inst, dist, 2, 0.2, seed=19)
+        assert inst.oracle.used == 874
 
 
 def test_bundled_best_k_search_bill():
