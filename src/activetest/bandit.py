@@ -283,6 +283,22 @@ class _StarSpace:
                 out[rows, rank.shape[1] :] = tail
         return out
 
+    def ranking_keys(self, pool: np.ndarray) -> np.ndarray:
+        """Key of each id for `KnnInstance`'s ranking memo: each off-pool
+        leaf maps to the lowest off-pool leaf of its star, every other id
+        to itself. Proof: an off-pool leaf of star s is at its radius from
+        each pooled center of s, at 2 from each pooled leaf of s and at 10
+        from every other pool point, whichever leaf it is, so all of them
+        share one distance row to the pool and one ranking (the
+        exchangeability `star_exact_hard_error` enumerates by)."""
+        ids = np.arange(self.n).reshape(self.n_stars, self.star_size)
+        folded = np.zeros(self.n, dtype=bool)
+        folded[pool] = True
+        folded = ~folded.reshape(ids.shape)
+        folded[:, : self.m] = False
+        first = ids[:, :1] + np.argmax(folded, axis=1)[:, None]
+        return np.where(folded, first, ids).ravel()
+
     def dist(self, a: int, b: int) -> float:
         return float(self.cross([a], [b])[0, 0])
 

@@ -123,16 +123,16 @@ def _run_gen_star(args: argparse.Namespace) -> int:
             args.p, args.eps, consts.get("coin", 0.5), constants=constants, seed=args.seed
         )
     else:
+        # the instance star-hard scores: its declared defaults, by name
+        declared = _REGISTRY["star-hard"].params
         allowed = {"c1", "c2", "gamma", "good_frac"}
         for key in consts:
             if key not in allowed:
                 raise ValueError(f"unknown constant: {key}")
-        means = good_arm_means(
-            args.d, consts.get("gamma", 0.3), consts.get("good_frac", 0.5)
-        )
-        constants = (consts.get("c1", 1.0), consts.get("c2", 0.01))
+        params = {key: consts.get(key, declared[key][1]) for key in allowed}
+        means = good_arm_means(args.d, params["gamma"], params["good_frac"])
         si = build_star_instance_hard(
-            args.d, means, args.k, args.eps, constants=constants, seed=args.seed
+            args.d, means, args.k, args.eps, constants=(params["c1"], params["c2"]), seed=args.seed
         )
     out.write_text(star_instance_to_json(si))
     sidecar = out.with_suffix(".meta.json")
@@ -204,10 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=1)
     common(sp, eps=0.3, trials=False)
 
-    sp = sub.add_parser("gen-star-hard", help="generate a hard star instance (JSON)")
-    sp.add_argument("--d", type=int, default=8, help="number of arms/stars")
-    sp.add_argument("--k", type=int, default=5)
-    common(sp, eps=0.25, trials=False)
+    star = _REGISTRY["star-hard"]
+    sp = sub.add_parser(
+        "gen-star-hard", help="generate a hard star instance (JSON); defaults are star-hard's"
+    )
+    sp.add_argument("--d", type=int, default=star.params["n"][1], help="number of arms/stars")
+    sp.add_argument("--k", type=int, default=star.params["k"][1])
+    common(sp, eps=star.eps, trials=False)
 
     sp = sub.add_parser("run-suite", help="run the acceptance criteria")
     sp.add_argument("--criteria", type=str, default="", help="comma-separated subset, e.g. 3,4,13")

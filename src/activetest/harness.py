@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .active_reduction import active_sample_size
 from .bandit import (
@@ -213,6 +212,9 @@ class TrialReport:
         return self.successes / len(self.rows)
 
     def aggregate(self) -> dict:
+        # imported here: scipy.stats takes about 70 MB, and only reports need it
+        from scipy import stats
+
         n = len(self.rows)
         ci = stats.binomtest(self.successes, n).proportion_ci(
             confidence_level=0.95, method="wilson"
@@ -610,12 +612,13 @@ def _build_knn_soft(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     space = MetricSpace.euclidean1d(coords)
     ids = np.arange(n)
     tf = TargetFunction.from_labels(labels)
-    truth = exact_soft_loss(KnnInstance(space, ids, LabelOracle(tf)), ids, None, k, power)
+    inst = KnnInstance(space, ids, tf)
+    truth = exact_soft_loss(inst, ids, None, k, power)
     test_dist = id_distribution(ids)
 
     def run(trial_rng: np.random.Generator):
-        inst = KnnInstance(space, ids, LabelOracle(tf))
-        est = estimate_soft_loss_pth(inst, test_dist, k, power, eps, seed=trial_rng)
+        trial = inst.with_oracle(tf)
+        est = estimate_soft_loss_pth(trial, test_dist, k, power, eps, seed=trial_rng)
         return est.value, est.queries_used, 0
 
     return _Bundle(float(truth), run)
@@ -637,12 +640,13 @@ def _build_knn_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     ids = np.arange(n)
     pool = ids[: n // 2]
     tf = TargetFunction.from_labels(labels)
-    truth = exact_hard_error(KnnInstance(space, pool, LabelOracle(tf)), ids, None, k)
+    inst = KnnInstance(space, pool, tf)
+    truth = exact_hard_error(inst, ids, None, k)
     test_dist = id_distribution(ids)
 
     def run(trial_rng: np.random.Generator):
-        inst = KnnInstance(space, pool, LabelOracle(tf))
-        est = estimate_hard_error(inst, test_dist, k, eps, seed=trial_rng)
+        trial = inst.with_oracle(tf)
+        est = estimate_hard_error(trial, test_dist, k, eps, seed=trial_rng)
         return est.value, est.queries_used, 0
 
     return _Bundle(float(truth), run)
@@ -681,16 +685,15 @@ def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     pool = np.arange(n)
     test_ids = np.arange(n, 2 * n)
     tf = TargetFunction.from_labels(labels)
-    table = exact_soft_loss_table(
-        KnnInstance(space, pool, LabelOracle(tf)), test_ids, None, power
-    )
+    inst = KnnInstance(space, pool, tf)
+    table = exact_soft_loss_table(inst, test_ids, None, power)
     truth = float(table.min())
     test_dist = id_distribution(test_ids)
 
     def search(trial_rng: np.random.Generator):
-        inst = KnnInstance(space, pool, LabelOracle(tf))
-        k_star, est_table = best_k(inst, test_dist, power, eps, seed=trial_rng)
-        return k_star, est_table, inst.oracle.used
+        trial = inst.with_oracle(tf)
+        k_star, est_table = best_k(trial, test_dist, power, eps, seed=trial_rng)
+        return k_star, est_table, trial.oracle.used
 
     def run(trial_rng: np.random.Generator):
         k_star, _, used = search(trial_rng)
@@ -733,8 +736,8 @@ def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     tf = TargetFunction.from_labels(si.labels)
 
     def run(trial_rng: np.random.Generator):
-        inst = KnnInstance(si.instance.space, si.instance.pool, LabelOracle(tf))
-        est = estimate_hard_error(inst, test_dist, k, eps, seed=trial_rng)
+        trial = si.instance.with_oracle(tf)
+        est = estimate_hard_error(trial, test_dist, k, eps, seed=trial_rng)
         return recover_good_fraction(est.value, si.b), est.queries_used, 0
 
     return _Bundle(float(truth), run, default_tolerance=2.0 * eps)

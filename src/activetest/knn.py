@@ -16,6 +16,7 @@ enumeration oracles are provided for verification at desk scale.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -125,6 +126,10 @@ class MetricSpace:
         see `KnnInstance.ranking`."""
         return _stable_top_k(self.cross(x_ids, pool), k)
 
+    def ranking_keys(self, pool: np.ndarray) -> None:
+        """No two ids share a key: the memo keys rankings by id."""
+        return None
+
     def dist(self, a: int, b: int) -> float:
         return float(self.cross([a], [b])[0, 0])
 
@@ -184,9 +189,27 @@ class KnnInstance:
     broken by pool position; the k nearest are always a prefix of the
     ranking, for every k.
 
-    The space supplies ``cross(x_ids, y_ids)`` and ``ranking(x_ids, pool,
-    k)``; `MetricSpace` ranks its distance matrix with `_stable_top_k`, and
-    the star metric of `activetest.bandit` ranks star by star.
+    The space supplies ``cross(x_ids, y_ids)``, ``ranking(x_ids, pool, k)``
+    and ``ranking_keys(pool)``; `MetricSpace` ranks its distance matrix with
+    `_stable_top_k`, and the star metric of `activetest.bandit` ranks star
+    by star.
+
+    Rankings cost no labels and depend only on the space and the pool, so
+    the instance memoizes its top-k rankings: for each width k below the
+    pool size it keeps every id ranked so far, sorted, with its k-prefix
+    row, and ranks an id at most once per width. Its `with_oracle` copies
+    share that memo, so a truth builder and every trial on the same pool
+    rank each neighborhood once between them. The memo holds only the rows
+    asked for, O(rows ranked x k) ints per width, plus at most one key map
+    the size of the space. Full rankings (k None or at least the pool
+    size) are not memoized: each such row is pool-sized, and their one
+    caller, `best_k`, ranks fresh draws in every search.
+
+    `ranking_keys` may fold ids whose rankings are provably equal into one
+    key, ranked once for all of them; `MetricSpace` folds nothing, and the
+    star metric folds each star's off-pool leaves (see
+    `_StarSpace.ranking_keys`). Every returned ranking is the one the space
+    would compute afresh, so outputs are unchanged bit for bit.
     """
 
     def __init__(self, space: MetricSpace, pool, oracle):
@@ -197,6 +220,20 @@ class KnnInstance:
         if isinstance(oracle, TargetFunction):
             oracle = LabelOracle(oracle)
         self.oracle = oracle
+        self._keys = space.ranking_keys(self.pool)
+        # Width k -> (ids, rows): ids sorted and distinct, rows[i] the
+        # k-prefix ranking of ids[i]. A miss publishes a new pair and never
+        # writes into a published one, so a concurrent reader sees the old
+        # or the new pair whole; two concurrent misses may drop one merge,
+        # which costs a later re-rank, never a wrong row.
+        self._memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def with_oracle(self, oracle) -> "KnnInstance":
+        """The same space, pool and ranking memo under another oracle, whose
+        label count is its own."""
+        twin = copy.copy(self)
+        twin.oracle = LabelOracle(oracle) if isinstance(oracle, TargetFunction) else oracle
+        return twin
 
     @property
     def size(self) -> int:
@@ -206,8 +243,27 @@ class KnnInstance:
         """Pool positions sorted by distance from each query id, ties broken
         by the lower pool position: exactly ``np.argsort(space.cross(x_ids,
         pool), axis=1, kind="stable")[:, :k]``. Shape (len(x_ids),
-        min(k, size)); the whole pool when k is None."""
-        return self.space.ranking(x_ids, self.pool, k)
+        min(k, size)); the whole pool when k is None. Top-k rankings come
+        from the memo (see the class docstring)."""
+        if k is None or not 1 <= k < self.size:
+            return self.space.ranking(x_ids, self.pool, k)
+        k = int(k)
+        x = self.space._check_ids(np.atleast_1d(x_ids))
+        keys = x if self._keys is None else self._keys[x]
+        ids, rows = self._memo.get(k) or (x[:0], np.empty((0, k), dtype=np.intp))
+        pos = np.searchsorted(ids, keys)
+        if ids.size:
+            known = np.take(ids, pos, mode="clip") == keys
+        else:
+            known = np.zeros(keys.shape, dtype=bool)
+        if not known.all():
+            new = np.unique(keys[~known])
+            at = np.searchsorted(ids, new)
+            ids = np.insert(ids, at, new)
+            rows = np.insert(rows, at, self.space.ranking(new, self.pool, k), axis=0)
+            self._memo[k] = (ids, rows)
+            pos = np.searchsorted(ids, keys)
+        return rows[pos]
 
     def neighbor_ids(self, x_ids, k: int) -> np.ndarray:
         """Ids of the k nearest pool points of each query id."""

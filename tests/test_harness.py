@@ -8,6 +8,7 @@ import pytest
 from activetest import (
     ActivePool,
     LabelOracle,
+    MetricSpace,
     TrialConfig,
     TrialReport,
     TruncatedBudget,
@@ -27,7 +28,17 @@ from activetest import (
     striped_union_target,
 )
 from activetest.cli import _trial_config, build_parser, main
-from activetest.harness import _REGISTRY, _build_compose_da, _build_union_da, check_params
+from activetest import harness, star_instance_from_json
+from activetest.bandit import _StarSpace
+from activetest.harness import (
+    _REGISTRY,
+    _build_compose_da,
+    _build_knn_hard,
+    _build_knn_soft,
+    _build_star_hard,
+    _build_union_da,
+    check_params,
+)
 
 # noiseless periodic target: distance zero, one cheap agnostic-route trial
 _FAST_PARAMS = {"d": 4, "flips": False, "grid": 2000}
@@ -138,6 +149,102 @@ class TestLabelBills:
         rep = run_trials(TrialConfig("union-da", eps=0.1, trials=2, seed=seed))
         assert [r.output.hex() for r in rep.rows] == self._UNION_DA_OUTPUTS[seed]
         assert [(r.queries, r.unlabeled) for r in rep.rows] == [(31800, 36533)] * 2
+
+
+# The benchmark's k-NN configurations: (algorithm, eps, params).
+_KNN_CONFIGS = {
+    "knn-soft": (0.1, {"k": 25, "p": 2}),
+    "knn-hard": (0.1, {"k": 25}),
+    "star-hard": (0.15, {"n": 8, "k": 5, "gamma": 0.3}),
+    "best-k": (0.2, {"p": 2, "n": 200}),
+}
+
+
+class TestKnnSeededOutputs:
+    # (outputs as float hex, truth as float hex, queries per trial) of three
+    # trials, recorded before the k-NN rankings were memoized per instance;
+    # a memo only serves rankings already computed and must not change a bit
+    _PINNED = {
+        ("knn-soft", 3): (
+            ["0x1.82d82d82d82d8p-3", "0x1.3e93e93e93e94p-3", "0x1.ddddddddddddep-3"],
+            "0x1.3b38bb327095ap-3",
+            270,
+        ),
+        ("knn-soft", 17): (
+            ["0x1.3e93e93e93e94p-3", "0x1.b05b05b05b05bp-3", "0x1.1111111111111p-3"],
+            "0x1.4683720fe7d4ap-3",
+            270,
+        ),
+        ("knn-hard", 3): (
+            ["0x1.16c16c16c16c1p-1", "0x1.0b60b60b60b61p-1", "0x1.1111111111111p-1"],
+            "0x1.0000000000001p-1",
+            2340,
+        ),
+        ("knn-hard", 17): (
+            ["0x1.b05b05b05b05bp-2", "0x1.0b60b60b60b61p-1", "0x1.2222222222222p-1"],
+            "0x1.0000000000001p-1",
+            2340,
+        ),
+        ("star-hard", 3): (
+            ["0x1.e3d70a3d70a3ep-2", "0x1.e3d70a3d70a3ep-2", "0x1.0cccccccccccdp-1"],
+            "0x1.0157f936075adp-1",
+            240,
+        ),
+        ("star-hard", 17): (
+            ["0x1.351eb851eb852p-1", "0x1.0cccccccccccdp-1", "0x1.9333333333333p-2"],
+            "0x1.071263016a13dp-1",
+            240,
+        ),
+        ("best-k", 3): (
+            ["0x1.15a6e3a5861ecp-3", "0x1.0ac3a860dcba6p-3", "0x1.177bb0afecfe7p-3"],
+            "0x1.0a1ac07336ea5p-3",
+            229862,
+        ),
+        ("best-k", 17): (
+            ["0x1.0a8641fdb9750p-3", "0x1.0c96a3550d1e5p-3", "0x1.0c49ba5e353ffp-3"],
+            "0x1.08d4fdf3b6458p-3",
+            229862,
+        ),
+    }
+
+    @pytest.mark.parametrize("algorithm, seed", sorted(_PINNED))
+    def test_seeded_outputs_pinned(self, algorithm, seed):
+        eps, params = _KNN_CONFIGS[algorithm]
+        rep = run_trials(TrialConfig(algorithm, eps=eps, trials=3, seed=seed, params=params))
+        outputs, truth, queries = self._PINNED[algorithm, seed]
+        assert [r.output.hex() for r in rep.rows] == outputs
+        assert [r.truth.hex() for r in rep.rows] == [truth] * 3
+        assert [(r.queries, r.unlabeled) for r in rep.rows] == [(queries, 0)] * 3
+
+    @pytest.mark.parametrize("algorithm", ["knn-soft", "knn-hard", "star-hard"])
+    def test_threads_sharing_the_memo_match_serial(self, algorithm):
+        eps, params = _KNN_CONFIGS[algorithm]
+        config = TrialConfig(algorithm, eps=eps, trials=24, seed=11, params=params)
+        serial = run_trials(config)
+        threaded = run_trials(config, workers=4)
+        assert _strip_millis(serial.to_csv()) == _strip_millis(threaded.to_csv())
+
+    @pytest.mark.parametrize(
+        "build, eps, space_type",
+        [
+            (_build_knn_soft, 0.1, MetricSpace),
+            (_build_knn_hard, 0.1, MetricSpace),
+            (_build_star_hard, 0.15, _StarSpace),
+        ],
+    )
+    def test_trials_rank_nothing_after_set_up(self, build, eps, space_type, monkeypatch):
+        bundle = build(eps, {}, np.random.default_rng(4))
+        ranked = []
+        fresh = space_type.ranking
+
+        def counting(self, x_ids, pool, k=None):
+            ranked.append(np.size(x_ids))
+            return fresh(self, x_ids, pool, k)
+
+        monkeypatch.setattr(space_type, "ranking", counting)
+        for seed in range(20):
+            bundle.run_trial(np.random.default_rng(seed))
+        assert ranked == []
 
 
 class TestRunTrials:
@@ -516,6 +623,20 @@ class TestCli:
         meta = json.loads((tmp_path / "star.meta.json").read_text())
         assert star_metadata(si) == meta
         assert meta["n"] == 2 and meta["k"] == 2
+
+    def test_gen_star_hard_defaults_write_the_star_hard_instance(self, tmp_path, monkeypatch):
+        out = tmp_path / "star.json"
+        assert main(["gen-star-hard", "--out", str(out)]) == 0
+        written = star_instance_from_json(out.read_text())
+        scored = []
+        build = harness.build_star_instance_hard
+        monkeypatch.setattr(
+            harness, "build_star_instance_hard", lambda *a, **kw: scored.append(build(*a, **kw)) or scored[-1]
+        )
+        _build_star_hard(_REGISTRY["star-hard"].eps, {}, np.random.default_rng(0))
+        (si,) = scored
+        assert (written.N, written.m, written.instance.space.n) == (si.N, si.m, si.instance.space.n)
+        assert (written.n, written.k, written.constants) == (si.n, si.k, si.constants)
 
     def test_gen_star_soft(self, tmp_path):
         out = tmp_path / "soft.json"

@@ -37,6 +37,7 @@ from activetest import (
     verify_triangle,
 )
 from activetest import knn
+from activetest.bandit import _StarSpace
 from activetest.harness import _NEED_TWO_THIRDS, _TRIALS, _build_best_k
 
 
@@ -149,6 +150,117 @@ class TestTopKRanking:
             _assert_top_k_is_argsort_prefix(
                 KnnInstance(space, pool, TargetFunction.constant(0)), np.arange(n)
             )
+
+
+def _memo_space(kind: str, rng):
+    # Coarse distances, so rankings tie and break by pool position.
+    if kind == "euclidean1d":
+        return MetricSpace.euclidean1d(rng.integers(-4, 5, size=int(rng.integers(2, 30))) / 4.0)
+    if kind == "explicit":
+        n = int(rng.integers(2, 25))
+        upper = np.triu(rng.integers(1, 4, size=(n, n)), 1).astype(float)
+        return MetricSpace.explicit(upper + upper.T)
+    n, m, b = (int(v) for v in rng.integers(1, 4, size=3))
+    slots = 10 * n * m
+    return _StarSpace(n, m, b, 1.0 + (rng.permutation(slots)[: n * m] + 0.5) / slots)
+
+
+class TestRankingMemo:
+    """The memo serves exactly the rankings the space computes afresh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["euclidean1d", "explicit", "star"]),
+        seed=st.integers(0, 2**32 - 1),
+        warm=st.booleans(),
+        batches=st.lists(
+            st.tuples(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), st.integers(1, 60)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_interleaved_batches_match_argsort(self, kind, seed, warm, batches):
+        rng = np.random.default_rng(seed)
+        space = _memo_space(kind, rng)
+        pool = rng.integers(0, space.n, size=int(rng.integers(1, 2 * space.n + 1)))
+        inst = KnnInstance(space, pool, TargetFunction.constant(0))
+        if warm:
+            every = np.arange(space.n)
+            for k in range(1, inst.size):
+                inst.ranking(every, k)
+        for raw, k in batches:
+            # ids repeat within and across batches; k runs past the pool size
+            x = np.asarray(raw) % space.n
+            want = np.argsort(space.cross(x, pool), axis=1, kind="stable")[:, :k]
+            got = inst.ranking(x, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for k, (ids, rows) in inst._memo.items():
+            assert k < inst.size and rows.shape == (ids.size, k)
+            assert np.all(np.diff(ids) > 0)
+
+    def test_star_keys_share_explicit_distance_rows(self):
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            space = _memo_space("star", rng)
+            pool = rng.integers(0, space.n, size=int(rng.integers(1, 2 * space.star_size + 2)))
+            keys = space.ranking_keys(pool)
+            d = space.to_explicit().matrix[:, pool]
+            assert np.array_equal(d, d[keys])
+            ids = np.arange(space.n)
+            leaf = ids % space.star_size >= space.m
+            folded = leaf & ~np.isin(ids, pool)
+            assert np.array_equal(keys[~folded], ids[~folded])
+            # one key per star that has an off-pool leaf
+            stars = np.unique(ids[folded] // space.star_size)
+            assert np.unique(keys[folded]).size == stars.size
+            explicit = KnnInstance(space.to_explicit(), pool, TargetFunction.constant(0))
+            inst = KnnInstance(space, pool, TargetFunction.constant(0))
+            for k in range(1, inst.size + 1):
+                assert np.array_equal(inst.ranking(ids, k), explicit.ranking(ids, k))
+
+    def test_full_rankings_bypass_the_memo(self):
+        space = MetricSpace.euclidean1d(np.linspace(0.0, 1.0, 9))
+        inst = KnnInstance(space, np.arange(0, 9, 2), TargetFunction.constant(0))
+        inst.ranking(np.arange(9))
+        inst.ranking(np.arange(9), inst.size)
+        inst.ranking(np.arange(9), inst.size + 3)
+        assert inst._memo == {}
+        inst.ranking(np.arange(9), 2)
+        assert list(inst._memo) == [2]
+
+    def test_each_id_ranked_once_per_width(self, monkeypatch):
+        space = MetricSpace.euclidean1d(np.linspace(0.0, 1.0, 20))
+        inst = KnnInstance(space, np.arange(0, 20, 3), TargetFunction.constant(0))
+        ranked = []
+        fresh = MetricSpace.ranking
+
+        def counting(self, x_ids, pool, k=None):
+            ranked.extend(np.atleast_1d(x_ids).tolist())
+            return fresh(self, x_ids, pool, k)
+
+        monkeypatch.setattr(MetricSpace, "ranking", counting)
+        inst.ranking([3, 3, 5], 2)
+        inst.ranking([5, 7, 3, 7], 2)
+        assert ranked == [3, 5, 7]
+        inst.ranking([3], 4)
+        assert ranked == [3, 5, 7, 3]
+
+    def test_with_oracle_shares_memo_counts_labels_apart(self):
+        rng = np.random.default_rng(43)
+        space = MetricSpace.euclidean1d(rng.random(30))
+        target = TargetFunction.from_labels(rng.integers(0, 2, size=30))
+        inst = KnnInstance(space, np.arange(10), target)
+        a, b = inst.with_oracle(LabelOracle(target)), inst.with_oracle(target)
+        assert a._memo is inst._memo and b._memo is inst._memo
+        assert a.space is inst.space and a.pool is inst.pool
+        a.ranking(np.arange(10, 20), 3)
+        ids, _ = inst._memo[3]
+        assert np.array_equal(ids, np.arange(10, 20))
+        assert np.array_equal(b.ranking([12], 3), inst.ranking([12], 3))
+        a.oracle.query_many(np.arange(5))
+        b.oracle.query_many(np.arange(2))
+        assert (inst.oracle.used, a.oracle.used, b.oracle.used) == (0, 5, 2)
+        assert isinstance(b.oracle, LabelOracle) and b.oracle is not inst.oracle
 
 
 class TestPredictors:
