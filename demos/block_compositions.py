@@ -97,7 +97,7 @@ def disjoint_union_section():
         seed=49,
     )
     print("\ndisjoint union of two blocks with hidden masses:")
-    print(f"  estimate={out:.4f}  truth=0.2000  labels spent={pool.oracle.used}")
+    print(f"  estimate={out.value:.4f}  truth=0.2000  labels spent={out.queries_used}")
     print(f"  ({s} block draws, per-block medians of {reps} runs)")
 
 

@@ -44,7 +44,7 @@ def active_section(target, alpha):
     oracle = LabelOracle(target)
     result = interval_da(dist, oracle, eps=0.2, d=3, seed=7)
     print("\nactive estimate at eps=0.2, d=3 (agnostic route):")
-    print(f"  alpha_hat={result.alpha_hat:.4f}  grid truth={alpha:.4f}")
+    print(f"  estimate={result.value:.4f}  grid truth={alpha:.4f}")
     print(f"  labels spent={result.queries_used}  unlabeled draws={result.unlabeled_used}")
     print(f"  witness intervals returned: {len(result.witness)}")
 

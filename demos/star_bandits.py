@@ -31,12 +31,11 @@ from activetest import (
 def direct_section():
     gamma, eps = 0.25, 0.1
     means = np.where(np.arange(12) < 7, 0.5 + gamma, 0.5 - gamma)
-    arms = ArmSet(means, gamma=gamma)
     s, q = aga_schedule(eps, gamma)
-    out = natural_aga(arms, gamma, eps, seed=31)
+    out = natural_aga(ArmSet(means, gamma=gamma), gamma, eps, seed=31)
     print("direct estimate of the good-arm fraction (12 arms, 7 good):")
     print(f"  schedule: {s} sampled arms x {q} pulls each = {s * q} pulls")
-    print(f"  estimate={out:.4f}  truth={7 / 12:.4f}  pulls recorded={arms.pulls.sum()}")
+    print(f"  estimate={out.value:.4f}  truth={7 / 12:.4f}  pulls billed={out.queries_used}")
 
 
 def reduction_section():

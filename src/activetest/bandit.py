@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    Receipt,
     TargetFunction,
     as_generator,
     chernoff_iterations,
@@ -173,14 +174,15 @@ def natural_aga(
     gamma: float,
     eps: float,
     seed: int | None | np.random.Generator = None,
-) -> float:
+) -> Receipt:
     """Estimate the fraction of good arms to additive eps, succeeding with
     probability at least 2/3.
 
     Picks s arms uniformly with replacement, pulls each q times, and
     calls an arm good when strictly more than half its pulls are
     positive. Requires every arm to be good or bad at gap gamma. Spends
-    exactly s*q pulls (aga_schedule), independent of the number of arms.
+    exactly s*q pulls (aga_schedule), independent of the number of arms;
+    the receipt bills them as queries.
     The proof step is aga_schedule's: each arm's misclassification biases
     the estimate by at most AGA_BIAS_SHARE*eps in expectation, and
     Hoeffding over the s sampled arms covers the rest of eps.
@@ -191,7 +193,7 @@ def natural_aga(
     picked = rng.integers(0, arms.n, size=s)
     positives = rng.binomial(q, arms.means[picked])
     np.add.at(arms.pulls, picked, q)
-    return float(np.mean(positives > q / 2.0))
+    return Receipt(float(np.mean(positives > q / 2.0)), s * q)
 
 
 def hard_gamma(k: int, eps: float, constant: float = 1.0) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     ActivePool,
     InsufficientPoolError,
+    Receipt,
     WeightedSample,
     as_generator,
     chernoff_iterations,
@@ -204,7 +205,7 @@ def composition_da(
     *,
     seed: int | None | np.random.Generator = None,
     erm_samples: int | None = None,
-) -> float:
+) -> Receipt:
     """Bi-criteria distance approximation for a composition with per-block
     rate lam over m blocks.
 
@@ -215,7 +216,8 @@ def composition_da(
     budget-lam*m composition, the output exceeds alpha-eps unless the
     function is within alpha of the (1+mu)-inflated budget, and stays below
     alpha+eps when it is within alpha of the base budget, each with
-    probability at least 2/3.
+    probability at least 2/3. The receipt bills erm_samples * repetitions
+    labels and every pool point read.
     """
     m = spec.num_blocks
     plan = composition_plan(m, lam, eps, mu, erm_samples=erm_samples)
@@ -229,13 +231,14 @@ def composition_da(
     chosen_set[chosen] = True
     hit_pts: list[np.ndarray] = []
     hit_idx: list[np.ndarray] = []
-    have = 0
+    have = read = 0
     goal = _draws_for_hits(need, l / m)
     while have < need:
         chunk = min(max(goal, 64), pool.remaining)
         if chunk == 0:
             raise InsufficientPoolError("insufficient pool")
         pts, idx = pool.take(chunk)
+        read += chunk
         blocks = spec.block_of(pts)
         mask = chosen_set[blocks]
         hit_pts.append(pts[mask])
@@ -262,7 +265,7 @@ def composition_da(
         estimates.append(
             distance_to_truncated_composition(sample, ids_r, sub_spec, budget)
         )
-    return float(np.median(estimates))
+    return Receipt(float(np.median(estimates)), need, read)
 
 
 def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
@@ -306,7 +309,7 @@ def disjoint_union_da(
     block_of: Callable[[np.ndarray], np.ndarray],
     block_pool_size: int,
     seed: int | None | np.random.Generator = None,
-) -> float:
+) -> Receipt:
     """Distance approximation over a disjoint union of blocks with unknown
     block masses.
 
@@ -330,8 +333,12 @@ def disjoint_union_da(
     boost without an error. Anything but reps finite numbers raises
     ValueError. block_of must map every pool point to an integer id in
     [0, num_blocks); a drawn block with fewer than reps * block_pool_size
-    pool points left raises InsufficientPoolError.
+    pool points left raises InsufficientPoolError, and a block_pool_size
+    below 1 raises ValueError. The receipt bills every label the callbacks
+    spend and the whole pool, all of which is read.
     """
+    if block_pool_size < 1:
+        raise ValueError("invalid parameter")
     s, reps = disjoint_union_plan(eps, num_blocks)
     rng = as_generator(seed)
     draw_pts, _ = pool.take(s)
@@ -341,6 +348,7 @@ def disjoint_union_da(
     blocks, per_draw = np.unique(drawn_blocks, return_inverse=True)
     medians = np.empty(blocks.shape[0])
     need = reps * block_pool_size
+    queries_before = pool.oracle.used
     for j, b in enumerate(blocks):
         sel = np.flatnonzero(rest_blocks == b)[:need]
         if sel.shape[0] < need:
@@ -356,4 +364,6 @@ def disjoint_union_da(
         if vals.shape != (reps,) or not np.all(np.isfinite(vals)):
             raise ValueError("invalid estimate")
         medians[j] = np.median(vals)
-    return float(medians[per_draw].mean())
+    return Receipt(
+        float(medians[per_draw].mean()), pool.oracle.used - queries_before, s + len(rest_pts)
+    )

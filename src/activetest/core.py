@@ -19,6 +19,7 @@ __all__ = [
     "TargetFunction",
     "LabelOracle",
     "ActivePool",
+    "Receipt",
     "WeightedSample",
     "Distribution",
     "empirical_distance",
@@ -179,6 +180,20 @@ class ActivePool:
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise ValueError("domain mismatch")
         return self.oracle.query_many(self.query_points[idx])
+
+
+@dataclass(frozen=True)
+class Receipt:
+    """An estimate and its bill: the value, the labels queried for it (arm
+    pulls for bandit estimators), the unlabeled draws read, and, when the
+    estimator solved its labeled points exactly, a witness attaining the
+    value. The value is not range-checked: an exact distance may read a
+    rounding above 1.0."""
+
+    value: float
+    queries_used: int
+    unlabeled_used: int = 0
+    witness: object = None
 
 
 @dataclass

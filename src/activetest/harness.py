@@ -21,7 +21,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -50,14 +50,13 @@ from .core import (
     ActivePool,
     Distribution,
     LabelOracle,
+    Receipt,
     TargetFunction,
     WeightedSample,
     chernoff_iterations,
     relative_entropy,
 )
 from .intervals import (
-    AGNOSTIC_SAMPLE_CONSTANT,
-    COMPOSITION_LABEL_CONSTANT,
     UNLABELED_SAMPLE_CONSTANT,
     exact_distance_to_intervals,
     interval_block_spec,
@@ -183,16 +182,13 @@ class TrialRow:
     millis: float
 
 
-_CSV_COLUMNS = (
-    "trial",
-    "output",
-    "truth",
-    "abs_error",
-    "success",
-    "queries",
-    "unlabeled",
-    "millis",
-)
+_CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
+
+
+def _csv_cell(key: str, val) -> str:
+    if key == "millis":
+        return f"{val:.3f}"
+    return str(int(val)) if isinstance(val, bool) else repr(val)
 
 
 @dataclass
@@ -234,10 +230,7 @@ class TrialReport:
     def to_csv(self) -> str:
         lines = [",".join(_CSV_COLUMNS)]
         for r in self.rows:
-            lines.append(
-                f"{r.trial},{r.output!r},{r.truth!r},{r.abs_error!r},"
-                f"{int(r.success)},{r.queries},{r.unlabeled},{r.millis:.3f}"
-            )
+            lines.append(",".join(_csv_cell(k, v) for k, v in asdict(r).items()))
         agg = self.aggregate()
         lines.append("# aggregate " + " ".join(f"{k}={agg[k]!r}" for k in sorted(agg)))
         return "\n".join(lines) + "\n"
@@ -246,19 +239,7 @@ class TrialReport:
         return json.dumps(
             {
                 "config": json.loads(self.config.to_json()),
-                "rows": [
-                    {
-                        "trial": r.trial,
-                        "output": r.output,
-                        "truth": r.truth,
-                        "abs_error": r.abs_error,
-                        "success": r.success,
-                        "queries": r.queries,
-                        "unlabeled": r.unlabeled,
-                        "millis": r.millis,
-                    }
-                    for r in self.rows
-                ],
+                "rows": [asdict(r) for r in self.rows],
                 "aggregate": self.aggregate(),
             },
             sort_keys=True,
@@ -417,10 +398,10 @@ def exact_interval_block_da(d: int = 1) -> Callable:
 @dataclass
 class _Bundle:
     """A built benchmark: its exact truth and a per-trial runner returning
-    (output, queries, unlabeled)."""
+    the estimator's receipt."""
 
     truth: float
-    run_trial: Callable[[np.random.Generator], tuple[float, int, int]]
+    run_trial: Callable[[np.random.Generator], Receipt]
     default_tolerance: float | None = None
     info: dict = field(default_factory=dict)
 
@@ -450,7 +431,8 @@ def _typed(key: str, val, typ: type, default):
                 return bool(val)
         elif not isinstance(val, bool):
             if typ is float:
-                return float(val)
+                if math.isfinite(val):
+                    return float(val)
             if isinstance(val, numbers.Integral) or float(val).is_integer():
                 return int(val)
     raise ValueError(f"invalid parameter: {key}")
@@ -459,8 +441,8 @@ def _typed(key: str, val, typ: type, default):
 def check_params(algorithm: str, params: dict) -> dict:
     """``params`` typed against ``algorithm``'s declared table: an int key
     takes an int or an integral float, a bool key 0/1 or True/False, a float
-    key any real, and a key whose default is derived also takes None; an
-    unknown key or any other value raises ``invalid parameter: <key>``."""
+    key any finite real, and a key whose default is derived also takes None;
+    an unknown key or any other value raises ``invalid parameter: <key>``."""
     if algorithm not in _REGISTRY:
         raise ValueError("unknown algorithm")
     table = _REGISTRY[algorithm].params
@@ -494,9 +476,6 @@ def _algorithm(name: str, cli_eps: float, help: str, notes=None, /, **params):
 @_algorithm(
     "intervals-da", 0.1, "interval-union distance approximation",
     d=(int, 100), grid=(int, None), flips=(bool, True),
-    unlabeled=(float, UNLABELED_SAMPLE_CONSTANT),
-    agnostic=(float, AGNOSTIC_SAMPLE_CONSTANT),
-    label=(float, COMPOSITION_LABEL_CONSTANT),
 )
 def _build_intervals_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     d = p["d"]
@@ -512,17 +491,7 @@ def _build_intervals_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundl
     truth, _ = exact_distance_to_intervals(grid_interval_sample(target, grid), d)
 
     def run(trial_rng: np.random.Generator):
-        res = interval_da(
-            Distribution.uniform01(),
-            target,
-            eps,
-            d,
-            seed=trial_rng,
-            unlabeled_constant=p["unlabeled"],
-            agnostic_constant=p["agnostic"],
-            label_constant=p["label"],
-        )
-        return res.alpha_hat, res.queries_used, res.unlabeled_used
+        return interval_da(Distribution.uniform01(), target, eps, d, seed=trial_rng)
 
     return _Bundle(float(truth), run)
 
@@ -552,10 +521,8 @@ def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         pool_size = math.ceil(1.35 * reps * erm * m / plan["l"]) + 256
 
     def run(trial_rng: np.random.Generator):
-        oracle = LabelOracle(target)
-        pool = ActivePool(trial_rng.random(pool_size), oracle)
-        est = composition_da(pool, spec, lam, eps, mu, seed=trial_rng)
-        return float(est), oracle.used, pool.unlabeled_used
+        pool = ActivePool(trial_rng.random(pool_size), LabelOracle(target))
+        return composition_da(pool, spec, lam, eps, mu, seed=trial_rng)
 
     return _Bundle(float(truth), run, info={"pool": pool_size})
 
@@ -578,9 +545,8 @@ def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         pool_size = s + math.ceil(2.12 * reps * block_pool) + 512
 
     def run(trial_rng: np.random.Generator):
-        oracle = LabelOracle(target)
-        pool = ActivePool(trial_rng.random(pool_size), oracle)
-        est = disjoint_union_da(
+        pool = ActivePool(trial_rng.random(pool_size), LabelOracle(target))
+        return disjoint_union_da(
             pool,
             exact_interval_block_da(1),
             eps,
@@ -589,7 +555,6 @@ def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
             block_pool_size=block_pool,
             seed=trial_rng,
         )
-        return float(est), oracle.used, pool.unlabeled_used
 
     return _Bundle(float(truth), run, info={"s": s, "reps": reps, "pool": pool_size})
 
@@ -618,8 +583,7 @@ def _build_knn_soft(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
 
     def run(trial_rng: np.random.Generator):
         trial = inst.with_oracle(tf)
-        est = estimate_soft_loss_pth(trial, test_dist, k, power, eps, seed=trial_rng)
-        return est.value, est.queries_used, 0
+        return estimate_soft_loss_pth(trial, test_dist, k, power, eps, seed=trial_rng)
 
     return _Bundle(float(truth), run)
 
@@ -645,9 +609,7 @@ def _build_knn_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     test_dist = id_distribution(ids)
 
     def run(trial_rng: np.random.Generator):
-        trial = inst.with_oracle(tf)
-        est = estimate_hard_error(trial, test_dist, k, eps, seed=trial_rng)
-        return est.value, est.queries_used, 0
+        return estimate_hard_error(inst.with_oracle(tf), test_dist, k, eps, seed=trial_rng)
 
     return _Bundle(float(truth), run)
 
@@ -697,7 +659,7 @@ def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
 
     def run(trial_rng: np.random.Generator):
         k_star, _, used = search(trial_rng)
-        return float(table[k_star - 1]), used, 0
+        return Receipt(float(table[k_star - 1]), used)
 
     return _Bundle(truth, run, info={"n": n, "truth_table": table, "search": search})
 
@@ -712,9 +674,7 @@ def _build_aga(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     truth = np.count_nonzero(means > 0.5) / n
 
     def run(trial_rng: np.random.Generator):
-        arms = ArmSet(means, gamma)
-        est = natural_aga(arms, gamma, eps, seed=trial_rng)
-        return float(est), int(arms.pulls.sum()), 0
+        return natural_aga(ArmSet(means, gamma), gamma, eps, seed=trial_rng)
 
     return _Bundle(float(truth), run)
 
@@ -738,7 +698,7 @@ def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     def run(trial_rng: np.random.Generator):
         trial = si.instance.with_oracle(tf)
         est = estimate_hard_error(trial, test_dist, k, eps, seed=trial_rng)
-        return recover_good_fraction(est.value, si.b), est.queries_used, 0
+        return replace(est, value=recover_good_fraction(est.value, si.b))
 
     return _Bundle(float(truth), run, default_tolerance=2.0 * eps)
 
@@ -774,17 +734,17 @@ def run_trials(config: TrialConfig, *, workers: int = 1) -> TrialReport:
     def one(i: int) -> TrialRow:
         rng = np.random.default_rng(trial_seqs[i])
         t0 = time.perf_counter()
-        output, queries, unlabeled = bundle.run_trial(rng)
+        receipt = bundle.run_trial(rng)
         millis = (time.perf_counter() - t0) * 1000.0
-        err = abs(output - bundle.truth)
+        err = abs(receipt.value - bundle.truth)
         return TrialRow(
             trial=i,
-            output=float(output),
+            output=float(receipt.value),
             truth=bundle.truth,
             abs_error=float(err),
             success=bool(err <= tolerance),
-            queries=int(queries),
-            unlabeled=int(unlabeled),
+            queries=int(receipt.queries_used),
+            unlabeled=int(receipt.unlabeled_used),
             millis=millis,
         )
 
@@ -849,7 +809,7 @@ def _crit_label_budget() -> tuple[bool, str]:
     queries, unlabeled, ok = [], [], True
     for d in (64, 256, 1024):
         rng = np.random.default_rng(_SUITE_SEED + 2)
-        n = active_sample_size(2 * d, eps, kind="da", constant=0.1)
+        n = active_sample_size(2 * d, eps, kind="da", constant=UNLABELED_SAMPLE_CONSTANT)
         pool = ActivePool(rng.random(n), LabelOracle(target))
         res = interval_da_uniform(pool, eps, d)
         bound = documented_c * (d / eps**2) * math.log(1.0 / eps)

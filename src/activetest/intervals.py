@@ -11,9 +11,9 @@ accuracy alone, not of the interval budget.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .composition import (
 from .core import (
     ActivePool,
     LabelOracle,
+    Receipt,
     TargetFunction,
     WeightedSample,
     as_generator,
@@ -35,7 +36,6 @@ from .core import (
 
 __all__ = [
     "IntervalUnion",
-    "DaResult",
     "exact_distance_to_intervals",
     "interval_error_curve",
     "interval_block_spec",
@@ -116,17 +116,6 @@ class IntervalUnion:
     @classmethod
     def from_json(cls, obj: dict) -> "IntervalUnion":
         return cls(obj["intervals"])
-
-
-@dataclass
-class DaResult:
-    """Output of a distance-approximation run plus its resource receipts;
-    the witness is set whenever the labeled points were solved exactly."""
-
-    alpha_hat: float
-    queries_used: int
-    unlabeled_used: int
-    witness: IntervalUnion | None = None
 
 
 def _merge_curve(points, weights, labels, stop: int):
@@ -323,13 +312,7 @@ def rank_positions(points: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def interval_da_plan(
-    eps: float,
-    d: int,
-    *,
-    agnostic_constant: float = AGNOSTIC_SAMPLE_CONSTANT,
-    label_constant: float = COMPOSITION_LABEL_CONSTANT,
-) -> dict:
+def interval_da_plan(eps: float, d: int) -> dict:
     """Resolve the route and derived parameters of the interval DA.
 
     Budgets d <= 8/eps go to agnostic learning on a labeled subsample.
@@ -340,7 +323,8 @@ def interval_da_plan(
     estimator's :func:`composition_plan`, with erm_samples a function of
     eps alone, is merged in. Removing the ceil(eps*k/2) shortest intervals
     of a (1+eps/4)d-interval witness costs under eps/2 + 1/d, so the
-    bi-criteria answer already satisfies the plain contract at eps.
+    bi-criteria answer already satisfies the plain contract at eps. The
+    sample constants are the module's, read at each call.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("invalid parameter")
@@ -351,14 +335,14 @@ def interval_da_plan(
         # Sized at the route threshold rather than at d, so the label spend
         # on this route is a function of the accuracy alone.
         vc = 2 * math.ceil(8.0 / eps)
-        q = math.ceil(agnostic_constant * vc * math.log(1.0 / eps) / eps**2)
+        q = math.ceil(AGNOSTIC_SAMPLE_CONSTANT * vc * math.log(1.0 / eps) / eps**2)
         return {"route": "agnostic", "samples": q}
     m = math.floor(eps * d / 8.0)
     lam = d / m
     lam_eff = (1.0 + eps / 8.0) * lam
     eps_inner = eps / 2.0
     mu = (1.0 + eps / 4.0) / (1.0 + eps / 8.0) - 1.0
-    q_rep = math.ceil(label_constant * math.log(1.0 / eps) / eps**6)
+    q_rep = math.ceil(COMPOSITION_LABEL_CONSTANT * math.log(1.0 / eps) / eps**6)
     return {
         "route": "composition",
         "m": m,
@@ -370,15 +354,13 @@ def interval_da_plan(
     }
 
 
-def _label_and_solve(pool: ActivePool, n: int, d: int) -> DaResult:
+def _label_and_solve(pool: ActivePool, n: int, d: int) -> Receipt:
     """Label the pool's next n points and solve their empirical distribution
-    exactly, witness included; the receipt is n unlabeled draws and the
-    labels spent on them."""
-    queries_before = pool.oracle.used
+    exactly, witness included; the bill is n labels on n unlabeled draws."""
     pts, idx = pool.take(n)
     sample = WeightedSample.uniform(pts, pool.label(idx))
     alpha, witness = exact_distance_to_intervals(sample, d)
-    return DaResult(alpha, pool.oracle.used - queries_before, n, witness)
+    return Receipt(alpha, n, n, witness)
 
 
 def interval_da_uniform(
@@ -387,38 +369,26 @@ def interval_da_uniform(
     d: int,
     *,
     seed: int | None | np.random.Generator = None,
-    agnostic_constant: float = AGNOSTIC_SAMPLE_CONSTANT,
-    label_constant: float = COMPOSITION_LABEL_CONSTANT,
-) -> DaResult:
+) -> Receipt:
     """Distance approximation for unions of at most d intervals under the
     uniform distribution on [0,1].
 
     For the true distance alpha the output is at most alpha+eps and more
     than alpha-eps, each with probability at least 2/3. On the composition
-    route the label spend depends on eps only.
+    route the label spend depends on eps only, and the receipt is
+    :func:`composition_da`'s.
     """
-    rng = as_generator(seed)
-    plan = interval_da_plan(
-        eps, d, agnostic_constant=agnostic_constant, label_constant=label_constant
-    )
+    plan = interval_da_plan(eps, d)
     if plan["route"] == "agnostic":
         return _label_and_solve(pool, plan["samples"], d)
-    queries_before = pool.oracle.used
-    unlabeled_before = pool.unlabeled_used
-    alpha = composition_da(
+    return composition_da(
         pool,
         interval_block_spec(plan["m"]),
         plan["lam_eff"],
         plan["eps_inner"],
         plan["mu"],
-        seed=rng,
+        seed=seed,
         erm_samples=plan["erm_samples"],
-    )
-    return DaResult(
-        alpha,
-        pool.oracle.used - queries_before,
-        pool.unlabeled_used - unlabeled_before,
-        None,
     )
 
 
@@ -434,10 +404,7 @@ def interval_da(
     d: int,
     *,
     seed: int | None | np.random.Generator = None,
-    unlabeled_constant: float = UNLABELED_SAMPLE_CONSTANT,
-    agnostic_constant: float = AGNOSTIC_SAMPLE_CONSTANT,
-    label_constant: float = COMPOSITION_LABEL_CONSTANT,
-) -> DaResult:
+) -> Receipt:
     """Distance approximation under an unknown distribution.
 
     Draws one unlabeled sample and works on its empirical distribution at
@@ -452,33 +419,23 @@ def interval_da(
     the composition estimator runs on a synthetic pool resampled from the
     empirical atoms; labels are charged to the real oracle at the original
     coordinates, and the resample adds no unlabeled cost because the
-    empirical distribution is known.
+    empirical distribution is known: the receipt bills the n_unl draws.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("invalid parameter")
     rng = as_generator(seed)
     oracle = target if isinstance(target, LabelOracle) else LabelOracle(target)
-    queries_before = oracle.used
     n_unl = active_sample_size(
-        2 * max(d, 1), eps, kind="da", constant=unlabeled_constant
+        2 * max(d, 1), eps, kind="da", constant=UNLABELED_SAMPLE_CONSTANT
     )
     draws = np.asarray(dist.draw(n_unl, rng), dtype=float)
     eps_run = eps / 2.0
-    plan = interval_da_plan(
-        eps_run, d, agnostic_constant=agnostic_constant, label_constant=label_constant
-    )
+    plan = interval_da_plan(eps_run, d)
     if plan["route"] == "agnostic" or plan["erm_samples"] * plan["repetitions"] >= n_unl:
         return _label_and_solve(ActivePool(draws, oracle), n_unl, d)
     ranks = rank_positions(draws)
     synth = _composition_pool_size(plan)
     atom_idx = rng.integers(0, n_unl, size=synth)
     inner_pool = ActivePool(ranks[atom_idx], oracle, query_points=draws[atom_idx])
-    inner = interval_da_uniform(
-        inner_pool,
-        eps_run,
-        d,
-        seed=rng,
-        agnostic_constant=agnostic_constant,
-        label_constant=label_constant,
-    )
-    return DaResult(inner.alpha_hat, oracle.used - queries_before, n_unl, None)
+    inner = interval_da_uniform(inner_pool, eps_run, d, seed=rng)
+    return dataclasses.replace(inner, unlabeled_used=n_unl)

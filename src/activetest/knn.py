@@ -19,13 +19,13 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     Distribution,
     LabelOracle,
+    Receipt,
     TargetFunction,
     as_generator,
     chernoff_iterations,
@@ -34,7 +34,6 @@ from .core import (
 __all__ = [
     "MetricSpace",
     "KnnInstance",
-    "LossEstimate",
     "id_distribution",
     "verify_triangle",
     "knn_predict_soft",
@@ -278,17 +277,6 @@ def id_distribution(ids, probs=None) -> Distribution:
     return Distribution.finite(ids.astype(float), probs)
 
 
-@dataclass(frozen=True)
-class LossEstimate:
-    value: float
-    queries_used: int
-    iterations: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError("invalid parameter")
-
-
 def _check_k(inst: KnnInstance, k) -> int:
     if not isinstance(k, (int, np.integer)) or not (1 <= int(k) <= inst.size):
         raise ValueError("invalid k")
@@ -372,7 +360,7 @@ def estimate_soft_loss_pth(
     eps: float,
     *,
     seed: int | None | np.random.Generator = None,
-) -> LossEstimate:
+) -> Receipt:
     """Estimate the p-th power loss of the soft k-NN predictor.
 
     Each of T = chernoff_iterations(eps, 1/3) iterations draws a test
@@ -388,11 +376,10 @@ def estimate_soft_loss_pth(
     eps = _check_eps(eps)
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
-    before = inst.oracle.used
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     j = rng.integers(0, k, size=(t, p))
     fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, p)
-    return LossEstimate(float(_all_differ(fj, fx) / t), inst.oracle.used - before, t)
+    return Receipt(float(_all_differ(fj, fx) / t), t * (p + 1))
 
 
 def lipschitz_inner_samples(lipschitz: float, eps: float, iterations: int) -> int:
@@ -415,7 +402,7 @@ def estimate_loss_lipschitz(
     eps: float,
     *,
     seed: int | None | np.random.Generator = None,
-) -> LossEstimate:
+) -> Receipt:
     """Estimate E_x[loss(|soft prediction - f(x)|)] for an L-Lipschitz loss
     mapping [0,1] to [0,1].
 
@@ -423,20 +410,22 @@ def estimate_loss_lipschitz(
     fresh test point's label plus w = lipschitz_inner_samples(L, eps, T)
     labels drawn uniformly with replacement from its k nearest, and
     applies the loss to |sample mean - f(x)|. Within eps with probability
-    at least 2/3; spends exactly T*(w+1) queries.
+    at least 2/3; spends exactly T*(w+1) queries. A loss value outside
+    [0, 1] raises ValueError.
     """
     k = _check_k(inst, k)
     eps = _check_eps(eps)
     rng = as_generator(seed)
     t = chernoff_iterations(eps / 2.0, 1.0 / 6.0)
     w = lipschitz_inner_samples(lipschitz, eps, t)
-    before = inst.oracle.used
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     j = rng.integers(0, k, size=(t, w))
     fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, w)
     z = np.abs(fj.mean(axis=1) - fx)
     vals = np.array([float(loss(zi)) for zi in z])
-    return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):
+        raise ValueError("invalid parameter")
+    return Receipt(float(vals.mean()), t * (w + 1))
 
 
 def _normalized_weights(inst: KnnInstance, wts) -> np.ndarray:
@@ -457,7 +446,7 @@ def estimate_weighted_nn_loss(
     eps: float,
     *,
     seed: int | None | np.random.Generator = None,
-) -> LossEstimate:
+) -> Receipt:
     """p-th power loss of the weighted nearest-neighbor predictor.
 
     `weights` maps a vector of distances from a test point to the pool to
@@ -470,7 +459,6 @@ def estimate_weighted_nn_loss(
     eps = _check_eps(eps)
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
-    before = inst.oracle.used
     x = _draw_ids(inst, test_dist, t, rng)
     fx = inst.oracle.query_many(x)
     chosen_pos = np.empty((t, p), dtype=np.intp)
@@ -478,7 +466,7 @@ def estimate_weighted_nn_loss(
         probs = _normalized_weights(inst, weights(dists))
         chosen_pos[i] = rng.choice(inst.size, size=p, replace=True, p=probs)
     fj = inst.oracle.query_many(inst.pool[chosen_pos].ravel()).reshape(t, p)
-    return LossEstimate(float(_all_differ(fj, fx) / t), inst.oracle.used - before, t)
+    return Receipt(float(_all_differ(fj, fx) / t), t * (p + 1))
 
 
 def estimate_hard_error(
@@ -488,7 +476,7 @@ def estimate_hard_error(
     eps: float,
     *,
     seed: int | None | np.random.Generator = None,
-) -> LossEstimate:
+) -> Receipt:
     """Estimate the misclassification rate of the hard k-NN predictor.
 
     Each of T = chernoff_iterations(eps, 1/3) iterations queries a test
@@ -500,12 +488,11 @@ def estimate_hard_error(
     eps = _check_eps(eps)
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
-    before = inst.oracle.used
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     fj = inst.oracle.query_many(nbr[inv].ravel()).reshape(t, k)
     pred = (fj.mean(axis=1) > 0.5).astype(np.int8)
     vals = np.abs(pred - fx).astype(float)
-    return LossEstimate(float(vals.mean()), inst.oracle.used - before, t)
+    return Receipt(float(vals.mean()), t * (k + 1))
 
 
 def best_k_grid(n: int, p: int, eps: float) -> list[int]:

@@ -96,16 +96,17 @@ class TestAgaSchedule:
 class TestNaturalAga:
     def test_extremes_are_exact(self):
         all_good = ArmSet(np.full(7, 0.9))
-        assert natural_aga(all_good, 0.3, 0.2, seed=2) == 1.0
+        assert natural_aga(all_good, 0.3, 0.2, seed=2).value == 1.0
         all_bad = ArmSet(np.full(7, 0.1))
-        assert natural_aga(all_bad, 0.3, 0.2, seed=3) == 0.0
+        assert natural_aga(all_bad, 0.3, 0.2, seed=3).value == 0.0
 
     def test_pull_count_is_schedule_product(self):
         arms = ArmSet(np.where(np.arange(10) < 5, 0.9, 0.1))
         out = natural_aga(arms, 0.4, 0.2, seed=4)
         s, q = aga_schedule(0.2, 0.4)
-        assert arms.pulls.sum() == s * q
-        assert abs(out - 0.5) <= 0.2
+        assert arms.pulls.sum() == s * q == out.queries_used
+        assert out.unlabeled_used == 0
+        assert abs(out.value - 0.5) <= 0.2
 
     @pytest.mark.parametrize("good_frac", [0.1, 0.5, 0.9])
     def test_seeded_accuracy_on_skewed_and_balanced_packs(self, good_frac):
@@ -116,7 +117,7 @@ class TestNaturalAga:
         means = good_arm_means(200, gamma, good_frac)
         truth = np.mean(means > 0.5)
         hits = sum(
-            abs(natural_aga(ArmSet(means), gamma, eps, seed=seed) - truth) <= eps
+            abs(natural_aga(ArmSet(means), gamma, eps, seed=seed).value - truth) <= eps
             for seed in range(trials)
         )
         assert hits >= math.ceil(trials * _NEED_TWO_THIRDS / _TRIALS)

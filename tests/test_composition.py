@@ -274,8 +274,9 @@ class TestCompositionDa:
             seed=9,
             erm_samples=50,
         )
-        assert out == 0.0
-        assert pool.oracle.used == 50 * 3
+        assert out.value == 0.0
+        assert pool.oracle.used == out.queries_used == 50 * 3
+        assert out.unlabeled_used == pool.unlabeled_used
 
     def test_label_spend_scales_with_erm_and_repetitions(self):
         target = TargetFunction.constant(0)
@@ -343,7 +344,8 @@ class TestDisjointUnionDa:
             seed=45,
         )
         expected = float(np.mean(np.where(points[:s] >= 0.5, 0.4, 0.0)))
-        assert out == pytest.approx(expected, abs=1e-12)
+        assert out.value == pytest.approx(expected, abs=1e-12)
+        assert (out.queries_used, out.unlabeled_used) == (0, len(points))
 
     def test_blocks_without_enough_points_raise(self):
         rng = np.random.default_rng(46)
@@ -390,7 +392,8 @@ class TestDisjointUnionDa:
             block_pool_size=60,
             seed=49,
         )
-        assert out == pytest.approx(0.2, abs=0.15)
+        assert out.value == pytest.approx(0.2, abs=0.15)
+        assert out.queries_used == pool.oracle.used == 2 * reps * 60
 
     @pytest.mark.parametrize(
         "bad",
@@ -448,7 +451,7 @@ class TestDisjointUnionDa:
             seed=56,
         )
         assert seen and all(n == 2 * reps for reps, n in seen)
-        assert 0.0 < out < 1.0
+        assert 0.0 < out.value < 1.0
 
     def test_plan_bounds_distinct_blocks_not_draws(self):
         assert disjoint_union_plan(0.1, 2) == (2313, 53)
@@ -555,6 +558,20 @@ class TestDisjointUnionDa:
                 block_of=_block_of_halves,
                 block_pool_size=1,
             )
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_block_pool_size_below_one_rejected_before_drawing(self, size):
+        pool = ActivePool(np.full(5000, 0.75), LabelOracle(TargetFunction.constant(0)))
+        with pytest.raises(ValueError, match="invalid parameter"):
+            disjoint_union_da(
+                pool,
+                lambda sub, reps, e, r: np.zeros(reps),
+                0.4,
+                num_blocks=2,
+                block_of=_block_of_halves,
+                block_pool_size=size,
+            )
+        assert pool.unlabeled_used == pool.oracle.used == 0
 
     def test_eps_validation(self):
         pool = ActivePool(np.zeros(5), LabelOracle(TargetFunction.constant(0)))

@@ -1,4 +1,7 @@
-"""Tests for targets, oracles, pools, weighted samples, and shared counts."""
+"""Tests for targets, oracles, pools, receipts, weighted samples, and shared
+counts."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from activetest import (
     Distribution,
     InsufficientPoolError,
     LabelOracle,
+    Receipt,
     TargetFunction,
     WeightedSample,
     chernoff_iterations,
@@ -117,6 +121,14 @@ class TestActivePool:
                 LabelOracle(TargetFunction.constant(0)),
                 query_points=np.zeros(2),
             )
+
+
+class TestReceipt:
+    def test_defaults_and_frozen(self):
+        r = Receipt(0.25, 30)
+        assert (r.value, r.queries_used, r.unlabeled_used, r.witness) == (0.25, 30, 0, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.value = 0.5
 
 
 class TestWeightedSample:

@@ -150,20 +150,54 @@ class TestLabelBills:
         assert [r.output.hex() for r in rep.rows] == self._UNION_DA_OUTPUTS[seed]
         assert [(r.queries, r.unlabeled) for r in rep.rows] == [(31800, 36533)] * 2
 
+    @pytest.mark.parametrize(
+        "algorithm, eps, params",
+        [row[:3] for row in _LABEL_BILLS],
+        ids=[f"{row[0]}-{i}" for i, row in enumerate(_LABEL_BILLS)],
+    )
+    def test_receipt_bills_every_label_spent(self, algorithm, eps, params, monkeypatch):
+        # labels counted at the oracle, whoever holds it; aga's pulls at its arms
+        labels, arm_sets = [], []
+        query_many = LabelOracle.query_many
 
-# The benchmark's k-NN configurations: (algorithm, eps, params).
-_KNN_CONFIGS = {
+        def counting(self, points):
+            labels.append(len(points))
+            return query_many(self, points)
+
+        class CountedArms(harness.ArmSet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                arm_sets.append(self)
+
+        monkeypatch.setattr(LabelOracle, "query_many", counting)
+        monkeypatch.setattr(harness, "ArmSet", CountedArms)
+        config = TrialConfig(algorithm, eps=eps, seed=7, params=params)
+        bundle, (seq,) = harness._build_bundle(config)
+        labels.clear()
+        receipt = bundle.run_trial(np.random.default_rng(seq))
+        spent = sum(labels) + sum(int(arms.pulls.sum()) for arms in arm_sets)
+        assert receipt.queries_used == spent > 0
+
+
+# The benchmark's configurations, plus compose-da at its defaults:
+# algorithm -> (eps, params).
+_SEEDED_CONFIGS = {
     "knn-soft": (0.1, {"k": 25, "p": 2}),
     "knn-hard": (0.1, {"k": 25}),
     "star-hard": (0.15, {"n": 8, "k": 5, "gamma": 0.3}),
     "best-k": (0.2, {"p": 2, "n": 200}),
+    "intervals-da": (0.2, {"d": 2000, "grid": 80_000}),
+    "compose-da": (0.15, {}),
+    "aga": (0.05, {"n": 200, "gamma": 0.1}),
 }
 
 
 class TestKnnSeededOutputs:
-    # (outputs as float hex, truth as float hex, queries per trial) of three
-    # trials, recorded before the k-NN rankings were memoized per instance;
-    # a memo only serves rankings already computed and must not change a bit
+    # (outputs as float hex, truth as float hex, bill per trial) of three
+    # trials. The k-NN rows were recorded before the k-NN rankings were
+    # memoized per instance, and bill only queries; the intervals-da,
+    # compose-da and aga rows, billing (queries, unlabeled), before every
+    # estimator returned one Receipt. Neither change may move a bit.
     _PINNED = {
         ("knn-soft", 3): (
             ["0x1.82d82d82d82d8p-3", "0x1.3e93e93e93e94p-3", "0x1.ddddddddddddep-3"],
@@ -205,20 +239,51 @@ class TestKnnSeededOutputs:
             "0x1.08d4fdf3b6458p-3",
             229862,
         ),
+        ("intervals-da", 3): (
+            ["0x1.d6cdfa1d6ce38p-5", "0x1.cb191d68cd429p-5", "0x1.dbe4f5e664612p-5"],
+            "0x1.333333333335dp-3",
+            (16095, 16095),
+        ),
+        ("intervals-da", 17): (
+            ["0x1.df750c8cab391p-5", "0x1.e282d6d20c847p-5", "0x1.d8d72ba10315cp-5"],
+            "0x1.333333333335dp-3",
+            (16095, 16095),
+        ),
+        ("compose-da", 3): (
+            ["0x1.51ff71af6457ep-5", "0x1.7a849e010cd12p-5", "0x1.2b7447872e3bep-5"],
+            "0x1.99999999999a0p-5",
+            (24867, 28244),
+        ),
+        ("compose-da", 17): (
+            ["0x1.2c71489be76a8p-5", "0x1.54f674ed8fe3ep-5", "0x1.4d0e6c47c66e8p-5"],
+            "0x1.99999999999a0p-5",
+            (24867, 28244),
+        ),
+        ("aga", 3): (
+            ["0x1.eea9e56ae84e9p-2", "0x1.d9dc2beb32468p-2", "0x1.e56ae84e97677p-2"],
+            "0x1.0000000000000p-1",
+            (117395, 0),
+        ),
+        ("aga", 17): (
+            ["0x1.10c22ac352a2fp-1", "0x1.0e726b7c3e693p-1", "0x1.fc88611561a95p-2"],
+            "0x1.0000000000000p-1",
+            (117395, 0),
+        ),
     }
 
     @pytest.mark.parametrize("algorithm, seed", sorted(_PINNED))
     def test_seeded_outputs_pinned(self, algorithm, seed):
-        eps, params = _KNN_CONFIGS[algorithm]
+        eps, params = _SEEDED_CONFIGS[algorithm]
         rep = run_trials(TrialConfig(algorithm, eps=eps, trials=3, seed=seed, params=params))
-        outputs, truth, queries = self._PINNED[algorithm, seed]
+        outputs, truth, bill = self._PINNED[algorithm, seed]
+        bill = bill if isinstance(bill, tuple) else (bill, 0)
         assert [r.output.hex() for r in rep.rows] == outputs
         assert [r.truth.hex() for r in rep.rows] == [truth] * 3
-        assert [(r.queries, r.unlabeled) for r in rep.rows] == [(queries, 0)] * 3
+        assert [(r.queries, r.unlabeled) for r in rep.rows] == [bill] * 3
 
     @pytest.mark.parametrize("algorithm", ["knn-soft", "knn-hard", "star-hard"])
     def test_threads_sharing_the_memo_match_serial(self, algorithm):
-        eps, params = _KNN_CONFIGS[algorithm]
+        eps, params = _SEEDED_CONFIGS[algorithm]
         config = TrialConfig(algorithm, eps=eps, trials=24, seed=11, params=params)
         serial = run_trials(config)
         threaded = run_trials(config, workers=4)
@@ -310,14 +375,24 @@ class TestRunTrials:
             run_trials(TrialConfig("intervals-da", 0.2, params={"d": 4, "grid": 2000.5}))
 
     def test_parameters_typed_by_declaration(self):
-        typed = check_params("intervals-da", {"d": 4.0, "flips": 0, "grid": None, "label": 1})
-        assert typed == {"d": 4, "flips": False, "grid": None, "label": 1.0}
-        assert [type(v) for v in typed.values()] == [int, bool, type(None), float]
+        typed = check_params("intervals-da", {"d": 4.0, "flips": 0, "grid": None})
+        assert typed == {"d": 4, "flips": False, "grid": None}
+        assert [type(v) for v in typed.values()] == [int, bool, type(None)]
         assert check_params("intervals-da", {"flips": True}) == {"flips": True}
-        for bad in ({"d": True}, {"d": None}, {"d": float("inf")}, {"flips": 2}, {"label": "1"}):
+        (flip,) = check_params("knn-soft", {"flip": 1}).values()
+        assert flip == 1.0 and type(flip) is float
+        for algorithm, bad in [
+            ("intervals-da", {"d": True}),
+            ("intervals-da", {"d": None}),
+            ("intervals-da", {"d": float("inf")}),
+            ("intervals-da", {"flips": 2}),
+            ("knn-soft", {"flip": "1"}),
+            ("knn-soft", {"flip": float("nan")}),
+            ("knn-soft", {"flip": float("-inf")}),
+        ]:
             (key,) = bad
             with pytest.raises(ValueError, match=f"invalid parameter: {key}"):
-                check_params("intervals-da", bad)
+                check_params(algorithm, bad)
 
     def test_truth_oracle_guard(self):
         with pytest.raises(ValueError, match="truth oracle unavailable"):
@@ -547,12 +622,25 @@ class TestCli:
         assert "k_star=" in printed
         assert "grid table" in printed
 
-    def test_unknown_constant_exits_2(self, capsys):
-        assert main(["aga", "--constants", "bogus=1"]) == 2
-        assert "unknown constant" in capsys.readouterr().err
+    # intervals-da's sample constants are activetest.intervals' module
+    # constants, not keys
+    @pytest.mark.parametrize(
+        "command, key",
+        [("aga", "bogus"), ("intervals-da", "unlabeled"), ("intervals-da", "agnostic"),
+         ("intervals-da", "label")],
+    )
+    def test_unknown_constant_exits_2(self, command, key, capsys):
+        assert main([command, "--constants", f"{key}=1"]) == 2
+        assert f"unknown constant: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, constant", [("union-da", "block_pool=299.9"), ("intervals-da", "flips=2")]
+        "command, constant",
+        [
+            ("union-da", "block_pool=299.9"),
+            ("intervals-da", "flips=2"),
+            ("compose-da", "lam=inf"),
+            ("knn-soft", "flip=nan"),
+        ],
     )
     def test_invalid_constant_value_exits_2(self, command, constant, capsys):
         assert main([command, "--constants", constant]) == 2

@@ -26,6 +26,7 @@ from activetest import (
     shrink_interval_union,
 )
 from activetest.composition import ORACLE_REPETITIONS
+from activetest import intervals
 from activetest.intervals import _merge_curve
 
 
@@ -464,6 +465,17 @@ class TestPlan:
             == math.ceil(6.5e-3 * math.log(5.0) / 0.2**6)
         )
 
+    def test_sample_constants_are_read_at_call_time(self, monkeypatch):
+        agnostic = interval_da_plan(0.2, 10)["samples"]
+        composition = interval_da_plan(0.2, 100)["erm_samples"]
+        monkeypatch.setattr(intervals, "AGNOSTIC_SAMPLE_CONSTANT", 2.0)
+        monkeypatch.setattr(intervals, "COMPOSITION_LABEL_CONSTANT", 13e-3)
+        assert interval_da_plan(0.2, 10)["samples"] == pytest.approx(2 * agnostic, abs=1)
+        assert interval_da_plan(0.2, 100)["erm_samples"] == pytest.approx(2 * composition, abs=1)
+        monkeypatch.setattr(intervals, "UNLABELED_SAMPLE_CONSTANT", 0.2)
+        res = interval_da(Distribution.uniform01(), TargetFunction.constant(0), 0.3, 1, seed=0)
+        assert res.unlabeled_used == active_sample_size(2, 0.3, kind="da", constant=0.2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             interval_da_plan(0.5, 10)
@@ -482,7 +494,7 @@ class TestDaUniform:
         plan = interval_da_plan(0.25, 8)
         pool = _uniform_pool(plan["samples"] + 10, target, seed=21)
         res = interval_da_uniform(pool, 0.25, 8, seed=22)
-        assert res.alpha_hat == 0.0
+        assert res.value == 0.0
         assert len(res.witness) <= 8
         assert res.queries_used == plan["samples"]
         assert res.unlabeled_used == plan["samples"]
@@ -491,11 +503,19 @@ class TestDaUniform:
         target = IntervalUnion([[0.0, 0.5]]).as_target()
         pool = _uniform_pool(1000, target, seed=23)
         res = interval_da_uniform(pool, 0.2, 100, seed=24)
-        assert res.alpha_hat == 0.0
+        assert res.value == 0.0
         assert res.witness is None
         plan = interval_da_plan(0.2, 100)
         assert res.queries_used == plan["erm_samples"] * plan["repetitions"]
         assert res.unlabeled_used >= res.queries_used
+
+    def test_receipt_keeps_a_distance_one_ulp_above_one(self):
+        # 230 weights of 1/230 sum to 1.0000000000000002; the receipt must
+        # carry the exact solver's value, not reject it
+        pool = _uniform_pool(230, TargetFunction.constant(1), seed=27)
+        res = interval_da_uniform(pool, 0.4, 0, seed=28)
+        assert res.value == 1.0000000000000002
+        assert res.queries_used == res.unlabeled_used == 230
 
     def test_insufficient_pool(self):
         target = TargetFunction.constant(0)
@@ -513,7 +533,7 @@ class TestDaWrapper:
         n_unl = active_sample_size(4, 0.3, kind="da", constant=0.1)
         assert res.unlabeled_used == n_unl
         assert res.queries_used == n_unl
-        assert res.alpha_hat == 0.0
+        assert res.value == 0.0
         assert res.witness is not None
 
     def test_large_budget_composition(self):
@@ -521,7 +541,7 @@ class TestDaWrapper:
         res = interval_da(
             Distribution.uniform01(), union.as_target(), 0.4, 1000, seed=31
         )
-        assert res.alpha_hat == 0.0
+        assert res.value == 0.0
         assert res.witness is None
         inner = interval_da_plan(0.2, 1000)
         assert res.queries_used == inner["erm_samples"] * inner["repetitions"]
@@ -544,7 +564,7 @@ class TestDaWrapper:
         labels = union.evaluate(draws)
         assert len(res.witness) <= 100
         disagreement = np.count_nonzero(res.witness.evaluate(draws) != labels) / 115
-        assert disagreement == pytest.approx(res.alpha_hat, abs=1e-12)
+        assert disagreement == pytest.approx(res.value, abs=1e-12)
 
     @pytest.mark.parametrize("d, exact", [(5579, True), (5580, False)])
     def test_route_switches_at_crossover(self, d, exact):
@@ -553,19 +573,19 @@ class TestDaWrapper:
         bill = 3 * interval_da_plan(0.1, d)["erm_samples"]
         n_unl = active_sample_size(2 * d, 0.2, kind="da", constant=0.1)
         assert bill == 44901 and (n_unl <= bill) == exact
-        union = IntervalUnion([[0.0, 0.5]])
-        res = interval_da(Distribution.uniform01(), union.as_target(), 0.2, d, seed=34)
+        oracle = LabelOracle(IntervalUnion([[0.0, 0.5]]).as_target())
+        res = interval_da(Distribution.uniform01(), oracle, 0.2, d, seed=34)
         assert res.unlabeled_used == n_unl
-        assert res.queries_used == (n_unl if exact else bill)
+        assert res.queries_used == oracle.used == (n_unl if exact else bill)
         assert (res.witness is not None) == exact
-        assert res.alpha_hat == 0.0
+        assert res.value == 0.0
 
     def test_accepts_oracle_and_charges_it(self):
         oracle = LabelOracle(TargetFunction.constant(1))
         res = interval_da(Distribution.uniform01(), oracle, 0.3, 1, seed=32)
         assert oracle.used == res.queries_used
         # constant 1 is a single interval: distance zero
-        assert res.alpha_hat == 0.0
+        assert res.value == 0.0
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

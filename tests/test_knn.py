@@ -280,13 +280,12 @@ class TestPredictors:
 
 
 class TestSoftLossEstimator:
-    def test_exact_query_count_and_iterations(self, line_instance):
+    def test_exact_query_count(self, line_instance):
         eps, p = 0.2, 2
         est = estimate_soft_loss_pth(
             line_instance, id_distribution(np.arange(6)), 3, p, eps, seed=5
         )
         t = chernoff_iterations(eps, 1 / 3)
-        assert est.iterations == t
         assert est.queries_used == t * (p + 1)
         assert line_instance.oracle.used == est.queries_used
         assert 0.0 <= est.value <= 1.0
@@ -347,7 +346,7 @@ class TestHardErrorEstimator:
             line_instance, id_distribution(np.arange(6)), k, eps, seed=9
         )
         t = chernoff_iterations(eps, 1 / 3)
-        assert est.queries_used == t * (k + 1)
+        assert est.queries_used == t * (k + 1) == line_instance.oracle.used
 
     def test_zero_error_instance(self):
         inst = KnnInstance(
@@ -380,9 +379,14 @@ class TestLipschitzEstimator:
         )
         t = chernoff_iterations(eps / 2, 1 / 6)
         w = lipschitz_inner_samples(1.0, eps, t)
-        assert est.iterations == t
-        assert est.queries_used == t * (w + 1)
+        assert est.queries_used == t * (w + 1) == inst.oracle.used
         assert est.value == 0.0
+
+    def test_loss_outside_unit_interval_rejected(self, line_instance):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            estimate_loss_lipschitz(
+                line_instance, id_distribution(np.arange(6)), 3, lambda z: 2.0, 1.0, 0.3, seed=11
+            )
 
 
 class TestWeightedNnEstimator:
@@ -404,7 +408,7 @@ class TestWeightedNnEstimator:
             line_instance, weights_of, id_distribution(np.arange(6)), 1, 0.1, seed=12
         )
         t = chernoff_iterations(0.1, 1 / 3)
-        assert est.queries_used == t * 2
+        assert est.queries_used == t * 2 == line_instance.oracle.used
         assert est.value == pytest.approx(truth, abs=0.1)
 
     def test_degenerate_weights_rejected(self, line_instance):
