@@ -28,6 +28,7 @@ from .harness import (
     _REGISTRY,
     TrialConfig,
     TrialReport,
+    _typed,
     acceptance_passed,
     check_params,
     run_acceptance,
@@ -55,6 +56,11 @@ def _parse_constants(text: str) -> dict[str, float]:
 # registry parameters with these names are trial flags; every other one is
 # a --constants key
 _FLAGS = ("d", "k", "p")
+
+# gen-star-soft's --constants keys, typed as the registry's are
+_SOFT_STAR_CONSTANTS = {
+    "c1": (float, 1.0), "c2": (float, 1.0), "c3": (float, 0.05), "coin": (float, 0.5),
+}
 
 
 def _trial_config(args: argparse.Namespace) -> TrialConfig:
@@ -104,32 +110,30 @@ def _run_trial_command(args: argparse.Namespace) -> int:
 
 def _run_gen_star(args: argparse.Namespace) -> int:
     consts = _parse_constants(args.constants)
+    if args.command == "gen-star-soft":
+        declared = _SOFT_STAR_CONSTANTS
+    else:
+        # the instance star-hard scores: its declared defaults, by name
+        star = _REGISTRY["star-hard"].params
+        declared = {key: star[key] for key in ("c1", "c2", "gamma", "good_frac")}
+    for key in consts:
+        if key not in declared:
+            raise ValueError(f"unknown constant: {key}")
+    params = {
+        key: _typed(key, consts.get(key, default), typ, default)
+        for key, (typ, default) in declared.items()
+    }
     if args.out is None:
         raise ValueError("missing --out")
     out = Path(args.out)
     if out.suffix != ".json":
         raise ValueError("unknown output format")
     if args.command == "gen-star-soft":
-        allowed = {"c1", "c2", "c3", "coin"}
-        for key in consts:
-            if key not in allowed:
-                raise ValueError(f"unknown constant: {key}")
-        constants = (
-            consts.get("c1", 1.0),
-            consts.get("c2", 1.0),
-            consts.get("c3", 0.05),
-        )
+        constants = (params["c1"], params["c2"], params["c3"])
         si = build_star_instance_soft(
-            args.p, args.eps, consts.get("coin", 0.5), constants=constants, seed=args.seed
+            args.p, args.eps, params["coin"], constants=constants, seed=args.seed
         )
     else:
-        # the instance star-hard scores: its declared defaults, by name
-        declared = _REGISTRY["star-hard"].params
-        allowed = {"c1", "c2", "gamma", "good_frac"}
-        for key in consts:
-            if key not in allowed:
-                raise ValueError(f"unknown constant: {key}")
-        params = {key: consts.get(key, declared[key][1]) for key in allowed}
         means = good_arm_means(args.d, params["gamma"], params["good_frac"])
         si = build_star_instance_hard(
             args.d, means, args.k, args.eps, constants=(params["c1"], params["c2"]), seed=args.seed

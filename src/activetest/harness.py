@@ -501,10 +501,12 @@ def _build_intervals_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundl
     m=(int, 40), lam=(float, 2.0), mu=(float, 0.5), noisy_blocks=(int, None), pool=(int, None),
 )
 def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
-    m, lam, mu = p["m"], p["lam"], p["mu"]
+    m, lam, mu, pool_size = p["m"], p["lam"], p["mu"], p["pool"]
     noisy = m // 2 if p["noisy_blocks"] is None else p["noisy_blocks"]
     if not (0 <= noisy <= m):
         raise ValueError("invalid parameter")
+    if pool_size is not None and pool_size < 0:
+        raise ValueError("invalid parameter: pool")
     mask = np.zeros(m, dtype=bool)
     if noisy:
         mask[np.linspace(0, m - 1, noisy).astype(int)] = True
@@ -515,7 +517,6 @@ def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     truth = distance_to_truncated_composition(
         sample, ids, spec, TruncatedBudget(total=lam * m, cap=plan["cap"])
     )
-    pool_size = p["pool"]
     if pool_size is None:
         reps, erm = plan["repetitions"], plan["erm_samples"]
         pool_size = math.ceil(1.35 * reps * erm * m / plan["l"]) + 256
@@ -532,7 +533,11 @@ def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     block_pool=(int, 300), pool=(int, None),
 )
 def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
-    block_pool = p["block_pool"]
+    block_pool, pool_size = p["block_pool"], p["pool"]
+    if block_pool < 1:
+        raise ValueError("invalid parameter: block_pool")
+    if pool_size is not None and pool_size < 0:
+        raise ValueError("invalid parameter: pool")
     target = striped_union_target()
     stripes = WeightedSample(
         0.55 + 0.1 * np.arange(5), np.full(5, 0.2), np.array([1, 0, 1, 0, 1])
@@ -540,7 +545,6 @@ def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     d1, _ = exact_distance_to_intervals(stripes, 1)
     truth = 0.5 * 0.0 + 0.5 * float(d1)
     s, reps = disjoint_union_plan(eps, 2)
-    pool_size = p["pool"]
     if pool_size is None:
         pool_size = s + math.ceil(2.12 * reps * block_pool) + 512
 

@@ -640,6 +640,13 @@ class TestCli:
             ("intervals-da", "flips=2"),
             ("compose-da", "lam=inf"),
             ("knn-soft", "flip=nan"),
+            ("gen-star-hard", "gamma=nan"),
+            ("gen-star-hard", "c1=inf"),
+            ("gen-star-soft", "coin=nan"),
+            ("union-da", "pool=-5"),
+            ("compose-da", "pool=-5"),
+            ("union-da", "block_pool=-1000"),
+            ("union-da", "block_pool=0"),
         ],
     )
     def test_invalid_constant_value_exits_2(self, command, constant, capsys):

@@ -340,7 +340,8 @@ class TestRowKernel:
                 pts[r : r + 1], weights[r : r + 1], labels[r : r + 1], stop
             )
             np.testing.assert_array_equal(costs, alone_costs)
-            assert spans == alone_spans
+            np.testing.assert_array_equal(spans, alone_spans)
+            assert spans.dtype == np.float64 and spans.shape[1:] == (2,)
             assert len(spans) <= stop
             witness = IntervalUnion(spans)
             missed = float(weights[r][witness.evaluate(pts[r]) != labels[r]].sum())
@@ -374,7 +375,60 @@ class TestRowKernel:
 
     def test_empty_rows(self):
         out = _merge_curve(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), 2)
-        assert [(c.tolist(), s) for c, s in out] == [([0.0], [])] * 3
+        assert [(c.tolist(), s.shape) for c, s in out] == [([0.0], (0, 2))] * 3
+
+    @staticmethod
+    def _bits(rows):
+        return [(c.shape, c.tobytes(), s.shape, s.tobytes()) for c, s in rows]
+
+    def _paths_agree(self, pts, weights, labels, stop):
+        """Every row that merges at all on the rounds path, then every row
+        on the heap loop alone: the same bits. Returns how many rows the
+        rounds handed to the heap loop."""
+        tails = []
+        heap = intervals._merge_heap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "ROUNDS_MIN_MERGES", 1)
+            mp.setattr(intervals, "_merge_heap", lambda *a: tails.append(1) or heap(*a))
+            rounds = _merge_curve(pts, weights, labels, stop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "ROUNDS_MIN_MERGES", math.inf)
+            alone = _merge_curve(pts, weights, labels, stop)
+        assert self._bits(rounds) == self._bits(alone)
+        return len(tails)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_row_batches())
+    def test_rounds_match_heap_loop_bit_for_bit(self, batch):
+        self._paths_agree(*batch)
+
+    @pytest.mark.parametrize(
+        "rows, n, stop, uniform",
+        [(1, 16_095, 2000, True), (1, 16_095, 2000, False), (8, 3000, 10, False)],
+    )
+    def test_rounds_match_heap_loop_on_large_noisy_rows(self, rows, n, stop, uniform):
+        # intervals-large-d's shape: 16,095 points, a target of 2,000
+        # intervals, label noise, stop at d=2000; uniform weights as its
+        # draws carry, whose steps tie in long runs, or uneven ones, whose
+        # steps do not; and a batch at a low stop, which merges merged
+        # segments again, so a sum taken in another order shows
+        rng = np.random.default_rng(16)
+        pts = rng.random((rows, n))
+        labels = (np.floor(pts * 2 * stop) % 2 == 0) ^ (rng.random(pts.shape) < 0.15)
+        weights = np.full(pts.shape, 1.0) if uniform else rng.random(pts.shape)
+        weights /= weights.sum(axis=1, keepdims=True)
+        self._paths_agree(pts, weights, labels.astype(np.int8), stop)
+        for costs, spans in _merge_curve(pts, weights, labels, stop):
+            assert costs.shape[0] > intervals.ROUNDS_MIN_MERGES and len(spans) == stop
+
+    def test_monotone_row_hands_its_tail_to_the_heap(self):
+        # alternating labels on weights rising along the line: each round
+        # merges one segment, so the round cap hands the rest to the heap
+        n = 2001
+        pts = np.arange(n, dtype=float)[None] / n
+        labels = (np.arange(n) % 2 == 0).astype(np.int8)[None]
+        weights = (1.0 + np.arange(n) / n)[None] / n
+        assert self._paths_agree(pts, weights, labels, 0) == 1
 
 
 class TestBlockSpec:
