@@ -57,7 +57,6 @@ from .core import (
     relative_entropy,
 )
 from .intervals import (
-    UNLABELED_SAMPLE_CONSTANT,
     exact_distance_to_intervals,
     interval_block_spec,
     interval_da,
@@ -113,6 +112,8 @@ class TrialConfig:
     against the algorithm's declared table (:func:`check_params`) when the
     bundle is built; ``tolerance`` overrides the success threshold, which
     defaults to ``eps`` (the star reduction installs its own wider default).
+    The numeric fields are typed as a params key is: ``eps`` in (0, 1),
+    ``trials`` >= 1, ``seed`` >= 0, and a finite positive ``tolerance``.
     """
 
     algorithm: str
@@ -125,15 +126,21 @@ class TrialConfig:
     def __post_init__(self):
         if not isinstance(self.algorithm, str) or not self.algorithm:
             raise ValueError("invalid parameter")
-        if not (0.0 < float(self.eps) < 1.0):
+        if not isinstance(self.params, dict):
             raise ValueError("invalid parameter")
-        if int(self.trials) < 1:
+        # typed as check_params types a key; a non-None default rejects None
+        eps = _typed("eps", self.eps, float, 0.0)
+        trials = _typed("trials", self.trials, int, 1)
+        seed = _typed("seed", self.seed, int, 0)
+        tolerance = _typed("tolerance", self.tolerance, float, None)
+        if not (0.0 < eps < 1.0) or trials < 1 or seed < 0:
             raise ValueError("invalid parameter")
-        if self.tolerance is not None and not (float(self.tolerance) > 0.0):
+        if tolerance is not None and tolerance <= 0.0:
             raise ValueError("invalid parameter")
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "params", dict(self.params))
 
     def to_json(self) -> str:
@@ -813,7 +820,7 @@ def _crit_label_budget() -> tuple[bool, str]:
     queries, unlabeled, ok = [], [], True
     for d in (64, 256, 1024):
         rng = np.random.default_rng(_SUITE_SEED + 2)
-        n = active_sample_size(2 * d, eps, kind="da", constant=UNLABELED_SAMPLE_CONSTANT)
+        n = active_sample_size(2 * d, eps)
         pool = ActivePool(rng.random(n), LabelOracle(target))
         res = interval_da_uniform(pool, eps, d)
         bound = documented_c * (d / eps**2) * math.log(1.0 / eps)

@@ -13,13 +13,12 @@ of the accuracy alone, not of the interval budget.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 
 import numpy as np
 
-from .active_reduction import active_sample_size
+from .active_reduction import activeize_da
 from .composition import (
     CompositionSpec,
     composition_da,
@@ -33,7 +32,6 @@ from .core import (
     Receipt,
     TargetFunction,
     WeightedSample,
-    as_generator,
 )
 
 __all__ = [
@@ -58,10 +56,6 @@ AGNOSTIC_SAMPLE_CONSTANT = 1.0
 # lambda <= 16/eps and the block-sample formula are folded into C. Tuned so
 # the Monte Carlo acceptance battery runs in seconds with margin to spare.
 COMPOSITION_LABEL_CONSTANT = 6.5e-3
-
-# Unlabeled draws for the unknown-distribution wrapper:
-# ceil(C * 2d * ln(1/eps) / eps^2).
-UNLABELED_SAMPLE_CONSTANT = 0.1
 
 # A row of the interval kernel needing at least this many merges runs
 # vectorized rounds of safe merges before the heap loop takes the rest; a
@@ -506,37 +500,35 @@ def interval_da(
     *,
     seed: int | None | np.random.Generator = None,
 ) -> Receipt:
-    """Distance approximation under an unknown distribution.
+    """Distance approximation under an unknown distribution, through
+    :func:`activeize_da`.
 
-    Draws one unlabeled sample and works on its empirical distribution at
-    accuracy eps/2; the remaining eps/2 covers the sampling error of the
-    draw. The whole draw is labeled and solved exactly, with the witness
-    in the original coordinates, when d is small or when the composition
-    route would bill erm_samples * repetitions >= n_unl labels: an exact
-    answer on the draw has no estimation error, so only the draw error
-    remains. With the default constants that route is cheaper only above
-    d* of about 5,600 at eps=0.2 and about 81,000 at eps=0.1. There the
-    draws are mapped to rank-uniform positions (ties by draw index) and
-    the composition estimator runs on a synthetic pool resampled from the
+    The reduction draws n_unl points for the shatter dimension 2d and runs
+    on their empirical distribution at accuracy eps/2; the remaining eps/2
+    covers the sampling error of the draw. eps and d are checked before
+    anything is drawn. The whole draw is labeled and solved exactly, with
+    the witness in the original coordinates, when d is small or when the
+    composition route would bill erm_samples * repetitions >= n_unl labels:
+    an exact answer on the draw has no estimation error, so only the draw
+    error remains. With the default constants that route is cheaper only
+    above d* of about 5,600 at eps=0.2 and about 81,000 at eps=0.1. There
+    the draws are mapped to rank-uniform positions (ties by draw index) and
+    :func:`interval_da_uniform` runs on a synthetic pool resampled from the
     empirical atoms; labels are charged to the real oracle at the original
     coordinates, and the resample adds no unlabeled cost because the
     empirical distribution is known: the receipt bills the n_unl draws.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("invalid parameter")
-    rng = as_generator(seed)
-    oracle = target if isinstance(target, LabelOracle) else LabelOracle(target)
-    n_unl = active_sample_size(
-        2 * max(d, 1), eps, kind="da", constant=UNLABELED_SAMPLE_CONSTANT
-    )
-    draws = np.asarray(dist.draw(n_unl, rng), dtype=float)
-    eps_run = eps / 2.0
-    plan = interval_da_plan(eps_run, d)
-    if plan["route"] == "agnostic" or plan["erm_samples"] * plan["repetitions"] >= n_unl:
-        return _label_and_solve(ActivePool(draws, oracle), n_unl, d)
-    ranks = rank_positions(draws)
-    synth = _composition_pool_size(plan)
-    atom_idx = rng.integers(0, n_unl, size=synth)
-    inner_pool = ActivePool(ranks[atom_idx], oracle, query_points=draws[atom_idx])
-    inner = interval_da_uniform(inner_pool, eps_run, d, seed=rng)
-    return dataclasses.replace(inner, unlabeled_used=n_unl)
+    plan = interval_da_plan(eps / 2.0, d)
+
+    def solve(pool: ActivePool, eps_run: float, rng: np.random.Generator) -> Receipt:
+        n_unl = len(pool)
+        if plan["route"] == "agnostic" or plan["erm_samples"] * plan["repetitions"] >= n_unl:
+            return _label_and_solve(pool, n_unl, d)
+        ranks = rank_positions(pool.points)
+        atom_idx = rng.integers(0, n_unl, size=_composition_pool_size(plan))
+        synth = ActivePool(ranks[atom_idx], pool.oracle, query_points=pool.points[atom_idx])
+        return interval_da_uniform(synth, eps_run, d, seed=rng)
+
+    return activeize_da(solve, 2 * max(d, 1), eps, dist, target, seed=seed)

@@ -1,6 +1,7 @@
 """Tests for the trial harness, report formats, bundled instances, and CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,32 @@ class TestTrialConfig:
             TrialConfig.from_json('{"eps": 0.1}')
         with pytest.raises(ValueError):
             TrialConfig.from_json("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", 2.7),
+            ("trials", True),
+            ("seed", 1.9),
+            ("seed", -1),
+            ("eps", "0.05"),
+            ("eps", None),
+            ("tolerance", math.inf),
+            ("tolerance", math.nan),
+            ("params", [1, 2]),
+        ],
+    )
+    def test_from_json_rejects_mistyped_fields(self, key, value):
+        text = json.dumps({"algorithm": "aga", "eps": 0.1, key: value})
+        with pytest.raises(ValueError, match="invalid parameter"):
+            TrialConfig.from_json(text)
+
+    def test_integral_floats_are_typed(self):
+        cfg = TrialConfig.from_json(
+            '{"algorithm": "aga", "eps": 0.1, "trials": 3.0, "seed": 2.0, "tolerance": 1}'
+        )
+        assert (cfg.trials, cfg.seed, cfg.tolerance) == (3, 2, 1.0)
+        assert type(cfg.trials) is type(cfg.seed) is int and type(cfg.tolerance) is float
 
 
 def _strip_millis(report_csv: str) -> list:
@@ -622,8 +649,9 @@ class TestCli:
         assert "k_star=" in printed
         assert "grid table" in printed
 
-    # intervals-da's sample constants are activetest.intervals' module
-    # constants, not keys
+    # intervals-da's sample constants are module constants, not keys: the
+    # labeled ones activetest.intervals', the unlabeled draw's
+    # activetest.active_reduction's
     @pytest.mark.parametrize(
         "command, key",
         [("aga", "bogus"), ("intervals-da", "unlabeled"), ("intervals-da", "agnostic"),

@@ -1,5 +1,6 @@
 """Tests for interval unions, the exact merge kernel, and its approximation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from activetest import (
     InsufficientPoolError,
     IntervalUnion,
     LabelOracle,
+    Receipt,
     TargetFunction,
     WeightedSample,
     active_sample_size,
@@ -26,7 +28,7 @@ from activetest import (
     shrink_interval_union,
 )
 from activetest.composition import ORACLE_REPETITIONS
-from activetest import intervals
+from activetest import active_reduction, intervals
 from activetest.intervals import _merge_curve
 
 
@@ -526,9 +528,9 @@ class TestPlan:
         monkeypatch.setattr(intervals, "COMPOSITION_LABEL_CONSTANT", 13e-3)
         assert interval_da_plan(0.2, 10)["samples"] == pytest.approx(2 * agnostic, abs=1)
         assert interval_da_plan(0.2, 100)["erm_samples"] == pytest.approx(2 * composition, abs=1)
-        monkeypatch.setattr(intervals, "UNLABELED_SAMPLE_CONSTANT", 0.2)
+        monkeypatch.setattr(active_reduction, "UNLABELED_SAMPLE_CONSTANT", 0.2)
         res = interval_da(Distribution.uniform01(), TargetFunction.constant(0), 0.3, 1, seed=0)
-        assert res.unlabeled_used == active_sample_size(2, 0.3, kind="da", constant=0.2)
+        assert res.unlabeled_used == math.ceil(0.2 * 2 * math.log(1 / 0.3) / 0.3**2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -584,7 +586,7 @@ class TestDaWrapper:
         res = interval_da(
             Distribution.uniform01(), union.as_target(), 0.3, 2, seed=30
         )
-        n_unl = active_sample_size(4, 0.3, kind="da", constant=0.1)
+        n_unl = active_sample_size(4, 0.3)
         assert res.unlabeled_used == n_unl
         assert res.queries_used == n_unl
         assert res.value == 0.0
@@ -599,9 +601,7 @@ class TestDaWrapper:
         assert res.witness is None
         inner = interval_da_plan(0.2, 1000)
         assert res.queries_used == inner["erm_samples"] * inner["repetitions"]
-        assert res.unlabeled_used == active_sample_size(
-            2000, 0.4, kind="da", constant=0.1
-        )
+        assert res.unlabeled_used == active_sample_size(2000, 0.4)
 
     def test_composition_bill_over_draw_labels_draw(self):
         # at eps=0.4, d=100 the composition route would bill 492 labels
@@ -625,7 +625,7 @@ class TestDaWrapper:
         # at eps=0.2 the composition bill is 44,901 labels and the draw is
         # ceil(0.1 * 2d * ln 5 / 0.04) points, which passes it at d = 5580
         bill = 3 * interval_da_plan(0.1, d)["erm_samples"]
-        n_unl = active_sample_size(2 * d, 0.2, kind="da", constant=0.1)
+        n_unl = active_sample_size(2 * d, 0.2)
         assert bill == 44901 and (n_unl <= bill) == exact
         oracle = LabelOracle(IntervalUnion([[0.0, 0.5]]).as_target())
         res = interval_da(Distribution.uniform01(), oracle, 0.2, d, seed=34)
@@ -633,6 +633,26 @@ class TestDaWrapper:
         assert res.queries_used == oracle.used == (n_unl if exact else bill)
         assert (res.witness is not None) == exact
         assert res.value == 0.0
+
+    def test_composition_route_queries_pinned(self):
+        # every estimate on this route reads 0.0, so the receipt alone cannot
+        # show a change in generator order; the queried points can
+        union = IntervalUnion([[0.1, 0.3], [0.5, 0.6], [0.8, 0.85]])
+        digest, batches = hashlib.sha256(), []
+
+        def record(pts):
+            digest.update(pts.dtype.str.encode())
+            digest.update(pts.tobytes())
+            batches.append(pts.shape[0])
+            return union.evaluate(pts)
+
+        target = TargetFunction.from_callable(lambda x: union.contains([x])[0], record)
+        res = interval_da(Distribution.uniform01(), target, 0.2, 5580, seed=34)
+        assert res == Receipt(0.0, 44901, 44904, None)
+        assert batches == [14967] * 3
+        assert digest.hexdigest() == (
+            "969b0c91c173a8b9b042e1322f4517e8a5dc579048338d96a89cd45ed2472aaa"
+        )
 
     def test_accepts_oracle_and_charges_it(self):
         oracle = LabelOracle(TargetFunction.constant(1))
@@ -644,3 +664,24 @@ class TestDaWrapper:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             interval_da(Distribution.uniform01(), TargetFunction.constant(0), 0.6, 3)
+
+    @pytest.mark.parametrize(
+        "eps, d, error",
+        [(0.2, -1, "invalid class parameter"), (0.2, 2.5, "invalid class parameter"),
+         (0.6, 3, "invalid parameter"), (0.2, 3, None)],
+    )
+    def test_bad_input_raises_before_drawing(self, eps, d, error):
+        draws = []
+
+        def inverse_cdf(u):
+            draws.append(u.shape[0])
+            return u
+
+        dist = Distribution.from_inverse_cdf(inverse_cdf)
+        if error is None:
+            interval_da(dist, TargetFunction.constant(0), eps, d, seed=0)
+            assert draws == [active_sample_size(2 * d, eps)]
+            return
+        with pytest.raises(ValueError, match=error):
+            interval_da(dist, TargetFunction.constant(0), eps, d, seed=0)
+        assert draws == []
