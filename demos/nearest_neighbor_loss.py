@@ -44,12 +44,12 @@ def build_instance(n=400, seed=5):
 def soft_and_hard_section(inst, test):
     k, p, eps = 15, 2, 0.1
     soft = estimate_soft_loss_pth(inst, test, k, p, eps, seed=21)
-    truth = exact_soft_loss(inst, test.atoms.astype(int), None, k, p)
+    truth = exact_soft_loss(inst, test, k, p)
     print(f"soft k-NN loss (k={k}, p={p}):")
     print(f"  estimate={soft.value:.4f}  exact={truth:.4f}  labels={soft.queries_used}")
 
     hard = estimate_hard_error(inst, test, k, eps, seed=22)
-    htruth = exact_hard_error(inst, test.atoms.astype(int), None, k)
+    htruth = exact_hard_error(inst, test, k)
     print(f"hard k-NN error (k={k}):")
     print(f"  estimate={hard.value:.4f}  exact={htruth:.4f}  labels={hard.queries_used}")
 
@@ -60,7 +60,7 @@ def weighted_section(inst, test):
         return np.exp(-40.0 * dist_row)
 
     est = estimate_weighted_nn_loss(inst, kernel, test, 1, eps=0.1, seed=23)
-    truth = exact_weighted_nn_loss(inst, kernel, test.atoms.astype(int), None, 1)
+    truth = exact_weighted_nn_loss(inst, kernel, test, 1)
     print("kernel-weighted neighbor loss (exp(-40 d) sampling weights):")
     print(f"  estimate={est.value:.4f}  exact={truth:.4f}  labels={est.queries_used}")
 
@@ -76,7 +76,7 @@ def best_k_section(inst, test):
         marker = " <- chosen" if k == chosen else ""
         print(f"  k={k:>3}  estimated loss={value:.4f}{marker}")
     print(f"  ... ({len(table) - len(shown)} grid rows elided)")
-    exact = {k: exact_soft_loss(inst, test.atoms.astype(int), None, k, p) for k, _ in table}
+    exact = {k: exact_soft_loss(inst, test, k, p) for k, _ in table}
     best_exact = min(exact.values())
     print(f"  exact loss at chosen k: {exact[chosen]:.4f}  best on grid: {best_exact:.4f}")
     print(

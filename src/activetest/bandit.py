@@ -120,7 +120,10 @@ class ArmSet:
 
 def good_arm_means(n: int, gamma: float, good_frac: float) -> np.ndarray:
     """Means of n arms: the first round(good_frac*n) are good at 1/2+gamma,
-    the rest bad at 1/2-gamma."""
+    the rest bad at 1/2-gamma. A good_frac outside [0, 1] raises
+    ``invalid parameter: good_frac``."""
+    if not 0.0 <= good_frac <= 1.0:
+        raise ValueError("invalid parameter: good_frac")
     good = int(round(good_frac * n))
     return np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
 
@@ -331,12 +334,6 @@ class StarInstance:
     star_of: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
-    def off_pool_ids(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.instance.space.n), self.instance.pool)
-
-    def off_pool_leaf_ids(self) -> np.ndarray:
-        return np.setdiff1d(self.leaf_ids, self.instance.pool)
-
 
 def star_soft_plan(p: int, eps: float, constants: tuple = (1.0, 1.0, 1.0)) -> dict:
     """Size formulas of the single-star construction: k = ceil(c1*p^2/eps^2),
@@ -461,7 +458,6 @@ def build_star_instance_hard(
     labels[center_ids] = (rng.random(center_ids.shape[0]) < arms.means[star]).astype(
         np.int8
     )
-    np.add.at(arms.pulls, star, 1)
     pool = rng.integers(0, space.n, size=plan["N"])
     return _assemble(space, labels, pool, plan, tuple(constants), _seed_repr(seed))
 

@@ -182,7 +182,7 @@ def composition_plan(
     floor((1+mu/2)*lam*l) with cap = max(1, floor(4*lam/eps)), erm_samples
     labels per repetition (default from ERM_SAMPLE_CONSTANT) and the
     median's ORACLE_REPETITIONS."""
-    if not (0.0 < eps < 1.0) or mu <= 0 or lam <= 0:
+    if m < 1 or not (0.0 < eps < 1.0) or mu <= 0 or lam <= 0:
         raise ValueError("invalid parameter")
     l = min(m, block_sample_count(eps, mu))
     total = int(math.floor((1.0 + mu / 2.0) * lam * l))

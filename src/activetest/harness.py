@@ -514,13 +514,13 @@ def _build_compose_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         raise ValueError("invalid parameter")
     if pool_size is not None and pool_size < 0:
         raise ValueError("invalid parameter: pool")
+    plan = composition_plan(m, lam, eps, mu)
     mask = np.zeros(m, dtype=bool)
     if noisy:
         mask[np.linspace(0, m - 1, noisy).astype(int)] = True
     target = block_noise_target(m, mask)
     spec = interval_block_spec(m)
     sample, ids = composition_segment_sample(m, target)
-    plan = composition_plan(m, lam, eps, mu)
     truth = distance_to_truncated_composition(
         sample, ids, spec, TruncatedBudget(total=lam * m, cap=plan["cap"])
     )
@@ -570,6 +570,12 @@ def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     return _Bundle(float(truth), run, info={"s": s, "reps": reps, "pool": pool_size})
 
 
+def _check_flip(p: dict) -> None:
+    # The label-flip probability, checked before the builder draws.
+    if not 0.0 <= p["flip"] <= 1.0:
+        raise ValueError("invalid parameter: flip")
+
+
 def _threshold_labels(coords: np.ndarray, flip: float, rng: np.random.Generator):
     base = (coords > 0.5).astype(np.int8)
     return base ^ (rng.random(coords.shape[0]) < flip).astype(np.int8)
@@ -583,14 +589,15 @@ def _build_knn_soft(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     n, k, power = p["n"], p["k"], p["p"]
     if n > ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
+    _check_flip(p)
     coords = rng.random(n)
     labels = _threshold_labels(coords, p["flip"], rng)
     space = MetricSpace.euclidean1d(coords)
     ids = np.arange(n)
     tf = TargetFunction.from_labels(labels)
     inst = KnnInstance(space, ids, tf)
-    truth = exact_soft_loss(inst, ids, None, k, power)
     test_dist = id_distribution(ids)
+    truth = exact_soft_loss(inst, test_dist, k, power)
 
     def run(trial_rng: np.random.Generator):
         trial = inst.with_oracle(tf)
@@ -616,8 +623,8 @@ def _build_knn_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     pool = ids[: n // 2]
     tf = TargetFunction.from_labels(labels)
     inst = KnnInstance(space, pool, tf)
-    truth = exact_hard_error(inst, ids, None, k)
     test_dist = id_distribution(ids)
+    truth = exact_hard_error(inst, test_dist, k)
 
     def run(trial_rng: np.random.Generator):
         return estimate_hard_error(inst.with_oracle(tf), test_dist, k, eps, seed=trial_rng)
@@ -650,18 +657,18 @@ def _build_best_k(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     n, power = p["n"], p["p"]
     if 2 * n > ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
+    _check_flip(p)
     # Held-out test half: a point must not count itself among its own
     # neighbors, or k=1 would win every search with loss zero.
     coords = rng.random(2 * n)
     labels = _threshold_labels(coords, p["flip"], rng)
     space = MetricSpace.euclidean1d(coords)
     pool = np.arange(n)
-    test_ids = np.arange(n, 2 * n)
+    test_dist = id_distribution(np.arange(n, 2 * n))
     tf = TargetFunction.from_labels(labels)
     inst = KnnInstance(space, pool, tf)
-    table = exact_soft_loss_table(inst, test_ids, None, power)
+    table = exact_soft_loss_table(inst, test_dist, power)
     truth = float(table.min())
-    test_dist = id_distribution(test_ids)
 
     def search(trial_rng: np.random.Generator):
         trial = inst.with_oracle(tf)
@@ -933,6 +940,7 @@ def _enumerate_unbiasedness(rng: np.random.Generator) -> float:
         coords = np.sort(rng.random(n))
         space = MetricSpace.euclidean1d(coords)
         ids = np.arange(n)
+        test_dist = id_distribution(ids)
         if n <= 5:
             labelings = [
                 np.array([(mask >> i) & 1 for i in range(n)], dtype=np.int8)
@@ -953,7 +961,7 @@ def _enumerate_unbiasedness(rng: np.random.Generator) -> float:
                             outcome = np.multiply.outer(outcome, a)
                         per_point[x] = outcome.mean()
                         worst = max(worst, abs(per_point[x] - a.mean() ** p))
-                    exact = exact_soft_loss(inst, ids, None, k, p)
+                    exact = exact_soft_loss(inst, test_dist, k, p)
                     worst = max(worst, abs(per_point.mean() - exact))
     return worst
 
@@ -990,7 +998,7 @@ def _crit_stability() -> tuple[bool, str]:
             np.arange(n),
             LabelOracle(TargetFunction.from_labels(labels)),
         )
-        table = exact_soft_loss_table(inst, np.arange(n), None, p)
+        table = exact_soft_loss_table(inst, id_distribution(np.arange(n)), p)
         ks = np.arange(1, n + 1, dtype=float)
         diffs = np.abs(table[:, None] - table[None, :])
         bounds = p * (1.0 - ks[:, None] / ks[None, :])

@@ -39,7 +39,6 @@ __all__ = [
     "exact_distance_to_intervals",
     "interval_error_curve",
     "interval_block_spec",
-    "shrink_interval_union",
     "interval_da_plan",
     "interval_da_uniform",
     "interval_da",
@@ -376,25 +375,6 @@ def interval_block_spec(m: int) -> CompositionSpec:
         block_cost_curve=curve,
         block_of=lambda pts: uniform_block_index(pts, m),
     )
-
-
-def shrink_interval_union(g: IntervalUnion, d: int, eps: float) -> IntervalUnion:
-    """Drop the ceil(eps*k/2) shortest intervals when the union has k > d of
-    them; the removed uniform measure is at most eps/2 + 1/d."""
-    if eps <= 0 or eps >= 1:
-        raise ValueError("invalid parameter")
-    if d <= 2.0 / eps:
-        raise ValueError("parameter regime violated")
-    k = len(g)
-    if k <= d:
-        return g
-    if k > (1.0 + eps / 2.0) * d + 1e-9:
-        raise ValueError("parameter regime violated")
-    remove = math.ceil(eps * k / 2.0)
-    lengths = g.intervals[:, 1] - g.intervals[:, 0]
-    order = np.argsort(lengths, kind="stable")
-    keep = np.setdiff1d(np.arange(k), order[:remove])
-    return IntervalUnion(g.intervals[keep])
 
 
 def rank_positions(points: np.ndarray) -> np.ndarray:

@@ -2,16 +2,19 @@
 label-frugal estimators of its loss.
 
 Points are integer ids into a finite metric space. A pool of candidate
-neighbors ranks by distance, ties broken by pool position; the estimators
-rank each distinct test point once, and select only its k nearest when k
-is fixed. `best_k` reads the neighbors of every grid point from one shared
-set of uniforms (common random numbers) and labels them in one call.
-Predictors read a fully labeled pool for free; the estimators pay for
-every label through the instance's oracle and report exact query counts.
+neighbors ranks by distance, ties broken by pool position. The estimators
+draw and label their test points in one pass, then rank each distinct
+test point once (only its k nearest when k is fixed) or, weighted,
+evaluate its weights once. `best_k` reads the neighbors of every grid
+point from one shared set of uniforms (common random numbers) and labels
+them in one call. Predictors read a fully labeled pool for free; the
+estimators pay for every label through the instance's oracle and report
+exact query counts.
 
 Estimator accuracy contracts are additive-eps with success probability
-at least 2/3; iteration counts come from `chernoff_iterations`. Exact
-enumeration oracles are provided for verification at desk scale.
+at least 2/3; iteration counts come from `chernoff_iterations`. Each has
+an exact enumeration oracle for verification at desk scale, taking the
+estimator's parameters minus `eps` and `seed`.
 """
 
 from __future__ import annotations
@@ -264,10 +267,6 @@ class KnnInstance:
             pos = np.searchsorted(ids, keys)
         return rows[pos]
 
-    def neighbor_ids(self, x_ids, k: int) -> np.ndarray:
-        """Ids of the k nearest pool points of each query id."""
-        return self.pool[self.ranking(x_ids, k)]
-
 
 def id_distribution(ids, probs=None) -> Distribution:
     """Distribution over point ids, uniform unless probs given."""
@@ -295,12 +294,22 @@ def _check_p(p) -> int:
     return int(p)
 
 
-def _draw_ids(inst: KnnInstance, test_dist: Distribution, n: int, rng) -> np.ndarray:
-    vals = np.asarray(test_dist.draw(n, rng), dtype=float)
+def _as_ids(inst: KnnInstance, vals) -> np.ndarray:
+    # Points of a test distribution are floats; each must be an id.
+    vals = np.asarray(vals, dtype=float)
     ids = np.rint(vals).astype(np.intp)
     if np.any(np.abs(vals - ids) > 1e-9):
         raise ValueError("domain mismatch")
     return inst.space._check_ids(ids)
+
+
+def _draw_ids(inst: KnnInstance, test_dist: Distribution, n: int, rng):
+    # n test draws labeled in one call: their labels fx, the distinct ids
+    # ux, and each draw's index inv into ux.
+    x = _as_ids(inst, test_dist.draw(n, rng))
+    fx = inst.oracle.query_many(x)
+    ux, inv = np.unique(x, return_inverse=True)
+    return fx, ux, inv
 
 
 def _ranked_test_draws(
@@ -308,11 +317,16 @@ def _ranked_test_draws(
 ):
     # Row inv[i] of nbr is the pool sorted by distance from test draw i, cut
     # to its k nearest when k is given.
-    x = _draw_ids(inst, test_dist, n, rng)
-    fx = inst.oracle.query_many(x)
-    ux, inv = np.unique(x, return_inverse=True)
+    fx, ux, inv = _draw_ids(inst, test_dist, n, rng)
     rank = inst.ranking(ux) if k is None else inst.ranking(ux, k)
     return fx, inst.pool[rank], inv
+
+
+def _test_atoms(inst: KnnInstance, test_dist: Distribution):
+    # The ids and probabilities an exact oracle enumerates.
+    if test_dist.kind != "finite":
+        raise ValueError("domain mismatch")
+    return _as_ids(inst, test_dist.atoms), test_dist.probs
 
 
 def _pool_labels(inst: KnnInstance) -> np.ndarray:
@@ -409,9 +423,9 @@ def estimate_loss_lipschitz(
     Runs T = chernoff_iterations(eps/2, 1/6) iterations; each queries a
     fresh test point's label plus w = lipschitz_inner_samples(L, eps, T)
     labels drawn uniformly with replacement from its k nearest, and
-    applies the loss to |sample mean - f(x)|. Within eps with probability
-    at least 2/3; spends exactly T*(w+1) queries. A loss value outside
-    [0, 1] raises ValueError.
+    applies the loss to |sample mean - f(x)|, calling it once per distinct
+    value. Within eps with probability at least 2/3; spends exactly
+    T*(w+1) queries. A loss value outside [0, 1] raises ValueError.
     """
     k = _check_k(inst, k)
     eps = _check_eps(eps)
@@ -421,11 +435,11 @@ def estimate_loss_lipschitz(
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, t, rng, k)
     j = rng.integers(0, k, size=(t, w))
     fj = inst.oracle.query_many(nbr[inv[:, None], j].ravel()).reshape(t, w)
-    z = np.abs(fj.mean(axis=1) - fx)
+    z, at = np.unique(np.abs(fj.mean(axis=1) - fx), return_inverse=True)
     vals = np.array([float(loss(zi)) for zi in z])
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("invalid parameter")
-    return Receipt(float(vals.mean()), t * (w + 1))
+    return Receipt(float(vals[at].mean()), t * (w + 1))
 
 
 def _normalized_weights(inst: KnnInstance, wts) -> np.ndarray:
@@ -433,7 +447,7 @@ def _normalized_weights(inst: KnnInstance, wts) -> np.ndarray:
     if wts.shape != (inst.size,) or np.any(wts < 0.0):
         raise ValueError("invalid parameter")
     total = wts.sum()
-    if total <= 0.0:
+    if not 0.0 < total < np.inf:
         raise ValueError("degenerate weights")
     return wts / total
 
@@ -450,21 +464,30 @@ def estimate_weighted_nn_loss(
     """p-th power loss of the weighted nearest-neighbor predictor.
 
     `weights` maps a vector of distances from a test point to the pool to
-    nonnegative sampling weights over the pool. Neighbor indices are drawn
-    from the normalized weights instead of uniformly over the k nearest;
-    otherwise identical to estimate_soft_loss_pth, including the
-    T*(p+1) query count.
+    nonnegative sampling weights over the pool, with a positive finite sum.
+    Neighbor indices are drawn from the normalized weights instead of
+    uniformly over the k nearest; otherwise identical to
+    estimate_soft_loss_pth, including the T*(p+1) query count.
+
+    `weights` is called once per distinct test point. Each draw's p
+    neighbors are ``rng.choice(N, p, p=probs)`` of its point's normalized
+    weights, in numpy's own algorithm: the cumsum of probs divided by its
+    last entry, searched (side="right") at p uniforms, with the uniforms of
+    all draws taken in one ``rng.random((T, p))`` call.
     """
     p = _check_p(p)
     eps = _check_eps(eps)
     rng = as_generator(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
-    x = _draw_ids(inst, test_dist, t, rng)
-    fx = inst.oracle.query_many(x)
+    fx, ux, inv = _draw_ids(inst, test_dist, t, rng)
+    u = rng.random((t, p))
     chosen_pos = np.empty((t, p), dtype=np.intp)
-    for i, dists in enumerate(inst.space.cross(x, inst.pool)):
-        probs = _normalized_weights(inst, weights(dists))
-        chosen_pos[i] = rng.choice(inst.size, size=p, replace=True, p=probs)
+    # The draws of each distinct point, in the order of ux.
+    draws_of = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+    for rows, dists in zip(draws_of, inst.space.cross(ux, inst.pool)):
+        cdf = np.cumsum(_normalized_weights(inst, weights(dists)))
+        cdf /= cdf[-1]
+        chosen_pos[rows] = cdf.searchsorted(u[rows], side="right")
     fj = inst.oracle.query_many(inst.pool[chosen_pos].ravel()).reshape(t, p)
     return Receipt(float(_all_differ(fj, fx) / t), t * (p + 1))
 
@@ -591,29 +614,17 @@ def loss_stability_bound(p: int, k1: int, k2: int) -> float:
     return _check_p(p) * (1.0 - k1 / k2)
 
 
-def _check_test_weights(inst: KnnInstance, test_ids, test_probs):
-    ids = inst.space._check_ids(np.asarray(test_ids, dtype=np.intp))
-    if test_probs is None:
-        probs = np.full(ids.shape[0], 1.0 / ids.shape[0])
-    else:
-        probs = np.asarray(test_probs, dtype=float)
-        if probs.shape != ids.shape or np.any(probs < 0.0):
-            raise ValueError("invalid parameter")
-        total = probs.sum()
-        if total <= 0.0:
-            raise ValueError("invalid parameter")
-        probs = probs / total
-    return ids, probs
+# Exact oracles: each enumerates the atoms of a finite test distribution,
+# weighted by its probs as given, and reads labels without charging. A test
+# distribution that is not finite, or has an atom that is not an id of the
+# space, raises ValueError("domain mismatch").
 
 
-def exact_soft_loss_table(
-    inst: KnnInstance, test_ids, test_probs=None, p: int = 1
-) -> np.ndarray:
-    """Exact p-th power loss of the soft predictor for every k = 1..N by
-    full enumeration over a finite test distribution. Verification oracle;
-    reads labels without charging."""
+def exact_soft_loss_table(inst: KnnInstance, test_dist: Distribution, p: int = 1) -> np.ndarray:
+    """Exact p-th power loss of the soft predictor for every k = 1..N, the
+    truth `best_k` searches."""
     p = _check_p(p)
-    ids, probs = _check_test_weights(inst, test_ids, test_probs)
+    ids, probs = _test_atoms(inst, test_dist)
     rank = inst.ranking(ids)
     labels = _pool_labels(inst)[rank].astype(float)
     fhat = np.cumsum(labels, axis=1) / np.arange(1, inst.size + 1)
@@ -622,32 +633,31 @@ def exact_soft_loss_table(
     return (probs[:, None] * err1**p).sum(axis=0)
 
 
-def exact_soft_loss(
-    inst: KnnInstance, test_ids, test_probs, k: int, p: int
-) -> float:
-    """Exact p-th power loss at a single k (enumeration oracle)."""
+def exact_soft_loss(inst: KnnInstance, test_dist: Distribution, k: int, p: int) -> float:
+    """Exact p-th power loss at a single k, the truth of
+    `estimate_soft_loss_pth`."""
     k = _check_k(inst, k)
     p = _check_p(p)
-    ids, probs = _check_test_weights(inst, test_ids, test_probs)
+    ids, probs = _test_atoms(inst, test_dist)
     err1 = np.abs(_soft_many(inst, ids, k) - inst.oracle.target.eval_many(ids))
     return float((probs * err1**p).sum())
 
 
-def exact_hard_error(inst: KnnInstance, test_ids, test_probs, k: int) -> float:
-    """Exact misclassification rate of the hard predictor (enumeration)."""
+def exact_hard_error(inst: KnnInstance, test_dist: Distribution, k: int) -> float:
+    """Exact misclassification rate of the hard predictor, the truth of
+    `estimate_hard_error`."""
     k = _check_k(inst, k)
-    ids, probs = _check_test_weights(inst, test_ids, test_probs)
+    ids, probs = _test_atoms(inst, test_dist)
     pred = (_soft_many(inst, ids, k) > 0.5).astype(float)
     err = np.abs(pred - inst.oracle.target.eval_many(ids))
     return float((probs * err).sum())
 
 
-def exact_weighted_nn_loss(
-    inst: KnnInstance, weights, test_ids, test_probs, p: int
-) -> float:
-    """Exact weighted-neighbor p-th power loss (enumeration oracle)."""
+def exact_weighted_nn_loss(inst: KnnInstance, weights, test_dist: Distribution, p: int) -> float:
+    """Exact weighted-neighbor p-th power loss, the truth of
+    `estimate_weighted_nn_loss`."""
     p = _check_p(p)
-    ids, probs = _check_test_weights(inst, test_ids, test_probs)
+    ids, probs = _test_atoms(inst, test_dist)
     pool_labels = _pool_labels(inst).astype(float)
     fx = inst.oracle.target.eval_many(ids).astype(float)
     out = 0.0

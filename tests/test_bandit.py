@@ -18,6 +18,7 @@ from activetest import (
     exact_hard_error,
     good_arm_means,
     hard_gamma,
+    id_distribution,
     natural_aga,
     pull,
     pull_many,
@@ -300,7 +301,7 @@ class TestStarHardError:
                 si.instance.space.to_explicit(), si.instance.pool, si.instance.oracle
             )
             slow = exact_hard_error(
-                explicit, np.arange(si.instance.space.n), None, si.k
+                explicit, id_distribution(np.arange(si.instance.space.n)), si.k
             )
             assert fast == pytest.approx(slow, abs=1e-12)
 

@@ -254,6 +254,11 @@ class TestCompositionPlan:
             1, math.ceil(erm_scale * math.log(2.0 / eps) / (eps / 2.0) ** 2)
         )
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_no_blocks_rejected(self, m):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            composition_plan(m, 2.0, 0.15, 0.5)
+
     def test_erm_samples_override(self):
         plan = composition_plan(40, 2.0, 0.15, 0.5, erm_samples=50)
         assert plan == {**composition_plan(40, 2.0, 0.15, 0.5), "erm_samples": 50}

@@ -421,6 +421,25 @@ class TestRunTrials:
             with pytest.raises(ValueError, match=f"invalid parameter: {key}"):
                 check_params(algorithm, bad)
 
+    @pytest.mark.parametrize(
+        "algorithm, params",
+        [
+            ("knn-soft", {"flip": 2}),
+            ("best-k", {"flip": -1}),
+            ("aga", {"good_frac": 2}),
+            ("star-hard", {"good_frac": -1}),
+        ],
+    )
+    def test_probability_outside_unit_interval_rejected_before_drawing(self, algorithm, params):
+        (key,) = params
+        with pytest.raises(ValueError, match=f"invalid parameter: {key}"):
+            run_trials(TrialConfig(algorithm, eps=0.2, params=params))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"invalid parameter: {key}"):
+            harness._REGISTRY[algorithm].build(0.2, params, rng)
+        assert rng.bit_generator.state == state
+
     def test_truth_oracle_guard(self):
         with pytest.raises(ValueError, match="truth oracle unavailable"):
             run_trials(TrialConfig("knn-soft", eps=0.3, params={"n": 100_001}))
@@ -681,6 +700,27 @@ class TestCli:
         assert main([command, "--constants", constant]) == 2
         key = constant.split("=")[0]
         assert f"error: invalid parameter: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["knn-soft", "--constants", "flip=2"],
+            ["best-k", "--constants", "flip=-1"],
+            ["aga", "--constants", "good_frac=2"],
+            ["star-hard", "--constants", "good_frac=-1"],
+            ["gen-star-hard", "--out", "star.json", "--constants", "good_frac=2"],
+        ],
+    )
+    def test_probability_outside_unit_interval_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        key = argv[-1].split("=")[0]
+        assert f"error: invalid parameter: {key}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_compose_da_without_blocks_exits_2(self, capsys):
+        assert main(["compose-da", "--constants", "m=0"]) == 2
+        assert "error: invalid parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

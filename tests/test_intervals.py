@@ -25,7 +25,6 @@ from activetest import (
     interval_da_uniform,
     interval_error_curve,
     rank_positions,
-    shrink_interval_union,
 )
 from activetest.composition import ORACLE_REPETITIONS
 from activetest import active_reduction, intervals
@@ -455,29 +454,6 @@ class TestBlockSpec:
         spec = interval_block_spec(2)
         empty = WeightedSample(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int8))
         np.testing.assert_array_equal(spec.cost_curve(0, empty, 2), np.zeros(3))
-
-
-class TestShrink:
-    def test_within_budget_is_identity(self):
-        u = IntervalUnion([[0.1, 0.2], [0.4, 0.6]])
-        assert shrink_interval_union(u, 30, 0.2) is u
-
-    def test_drops_shortest(self):
-        # 18 intervals, budget 16: valid regime since 18 <= (1 + eps/2) * 16
-        intervals = [[0.05 * i, 0.05 * i + 0.0005 * (i + 1)] for i in range(18)]
-        u = IntervalUnion(intervals)
-        out = shrink_interval_union(u, 16, 0.25)
-        # ceil(0.25 * 18 / 2) = 3 shortest intervals removed
-        assert len(out) == 15
-        assert out.intervals[0, 0] == pytest.approx(0.15)
-
-    def test_regime_validation(self):
-        u = IntervalUnion([[0.0, 0.1]])
-        with pytest.raises(ValueError, match="parameter regime"):
-            shrink_interval_union(u, 5, 0.2)  # d <= 2/eps
-        too_many = IntervalUnion([[i / 40.0, i / 40.0 + 0.01] for i in range(20)])
-        with pytest.raises(ValueError, match="parameter regime"):
-            shrink_interval_union(too_many, 12, 0.25)
 
 
 class TestRankPositions:

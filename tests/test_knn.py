@@ -1,5 +1,6 @@
 """Tests for metric spaces, k-NN predictors, and the loss estimators."""
 
+import inspect
 import json
 import math
 
@@ -85,15 +86,15 @@ class TestMetricSpace:
 
 class TestKnnInstance:
     def test_ranking_prefix_property(self, line_instance):
-        lesser = line_instance.neighbor_ids([3], 2)
-        greater = line_instance.neighbor_ids([3], 4)
+        lesser = line_instance.pool[line_instance.ranking([3], 2)]
+        greater = line_instance.pool[line_instance.ranking([3], 4)]
         np.testing.assert_array_equal(greater[:, :2], lesser)
 
     def test_stable_tie_break(self):
         space = MetricSpace.euclidean1d([0.0, 1.0, -1.0])
         inst = KnnInstance(space, [1, 2], TargetFunction.from_labels([0, 0, 0]))
         # both pool points are at distance 1 from id 0: earlier pool slot wins
-        np.testing.assert_array_equal(inst.neighbor_ids([0], 1), [[1]])
+        np.testing.assert_array_equal(inst.pool[inst.ranking([0], 1)], [[1]])
 
     def test_empty_pool_rejected(self):
         space = MetricSpace.euclidean1d([0.0, 1.0])
@@ -118,7 +119,6 @@ def _assert_top_k_is_argsort_prefix(inst, x):
     n = inst.size
     for k in sorted({1, max(1, n // 2), max(1, n - 1), n}):
         assert np.array_equal(inst.ranking(x, k), full[:, :k])
-        assert np.array_equal(inst.neighbor_ids(x, k), inst.pool[full[:, :k]])
     assert np.array_equal(inst.ranking(x), full)
 
 
@@ -309,34 +309,68 @@ class TestSoftLossEstimator:
 
     def test_near_exact_loss_at_small_eps(self, line_instance):
         dist = id_distribution(np.arange(6))
-        truth = exact_soft_loss(line_instance, np.arange(6), None, 3, 1)
+        truth = exact_soft_loss(line_instance, dist, 3, 1)
         est = estimate_soft_loss_pth(line_instance, dist, 3, 1, 0.05, seed=8)
         assert est.value == pytest.approx(truth, abs=0.05)
 
 
 class TestExactOracles:
     def test_table_matches_single_k(self, line_instance):
-        table = exact_soft_loss_table(line_instance, np.arange(6), None, 2)
+        dist = id_distribution(np.arange(6))
+        table = exact_soft_loss_table(line_instance, dist, 2)
         assert table.shape == (6,)
         for k in (1, 3, 6):
-            assert table[k - 1] == pytest.approx(
-                exact_soft_loss(line_instance, np.arange(6), None, k, 2)
-            )
+            assert table[k - 1] == pytest.approx(exact_soft_loss(line_instance, dist, k, 2))
 
     def test_hard_error_hand_value(self, line_instance):
         # k=1 on the pool itself: every point is its own neighbor
-        assert exact_hard_error(line_instance, np.arange(6), None, 1) == 0.0
+        assert exact_hard_error(line_instance, id_distribution(np.arange(6)), 1) == 0.0
 
     def test_weighted_probs(self, line_instance):
         probs = np.array([1.0, 0, 0, 0, 0, 0])
-        val = exact_hard_error(line_instance, np.arange(6), probs, 3)
+        val = exact_hard_error(line_instance, id_distribution(np.arange(6), probs), 3)
         # id 0 neighbors at k=3: 0,1,2 -> vote 0, truth 0
         assert val == 0.0
 
     def test_oracle_not_charged(self, line_instance):
-        exact_soft_loss_table(line_instance, np.arange(6), None, 3)
-        exact_hard_error(line_instance, np.arange(6), None, 3)
+        exact_soft_loss_table(line_instance, id_distribution(np.arange(6)), 3)
+        exact_hard_error(line_instance, id_distribution(np.arange(6)), 3)
         assert line_instance.oracle.used == 0
+
+    @pytest.mark.parametrize(
+        "dist",
+        [Distribution.uniform01(), Distribution.finite([1.0, 2.5], [0.5, 0.5])],
+        ids=["uniform01", "non-integral-atom"],
+    )
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda inst, dist: exact_soft_loss(inst, dist, 3, 1),
+            lambda inst, dist: exact_hard_error(inst, dist, 3),
+            lambda inst, dist: exact_soft_loss_table(inst, dist, 1),
+            lambda inst, dist: exact_weighted_nn_loss(inst, np.exp, dist, 1),
+        ],
+        ids=["soft", "hard", "table", "weighted"],
+    )
+    def test_non_id_test_distribution_rejected(self, line_instance, oracle, dist):
+        with pytest.raises(ValueError, match="domain mismatch"):
+            oracle(line_instance, dist)
+
+
+@pytest.mark.parametrize(
+    "oracle, estimator",
+    [
+        (exact_soft_loss, estimate_soft_loss_pth),
+        (exact_hard_error, estimate_hard_error),
+        (exact_soft_loss_table, best_k),
+        (exact_weighted_nn_loss, estimate_weighted_nn_loss),
+    ],
+)
+def test_oracle_takes_its_estimators_parameters(oracle, estimator):
+    # An oracle's truth is for the instance, test distribution and
+    # parameters its estimator samples: the same names, minus eps and seed.
+    names = [n for n in inspect.signature(estimator).parameters if n not in ("eps", "seed")]
+    assert list(inspect.signature(oracle).parameters) == names
 
 
 class TestHardErrorEstimator:
@@ -392,35 +426,34 @@ class TestLipschitzEstimator:
 class TestWeightedNnEstimator:
     def test_matches_uniform_k_sampling_in_value(self, line_instance):
         # weights = indicator of the 3 nearest reproduces the soft 3-NN loss
-        truth = exact_soft_loss(line_instance, np.arange(6), None, 3, 1)
+        dist = id_distribution(np.arange(6))
+        truth = exact_soft_loss(line_instance, dist, 3, 1)
 
         def weights_of(dists):
             cut = np.sort(dists)[2]
             w = (dists <= cut).astype(float)
             return w
 
-        wnn = exact_weighted_nn_loss(
-            line_instance, weights_of, np.arange(6), None, 1
-        )
+        wnn = exact_weighted_nn_loss(line_instance, weights_of, dist, 1)
         assert wnn == pytest.approx(truth)
 
-        est = estimate_weighted_nn_loss(
-            line_instance, weights_of, id_distribution(np.arange(6)), 1, 0.1, seed=12
-        )
+        est = estimate_weighted_nn_loss(line_instance, weights_of, dist, 1, 0.1, seed=12)
         t = chernoff_iterations(0.1, 1 / 3)
         assert est.queries_used == t * 2 == line_instance.oracle.used
         assert est.value == pytest.approx(truth, abs=0.1)
 
     def test_degenerate_weights_rejected(self, line_instance):
-        with pytest.raises(ValueError, match="degenerate weights"):
-            estimate_weighted_nn_loss(
-                line_instance,
-                lambda d: np.zeros(6),
-                id_distribution(np.arange(6)),
-                1,
-                0.3,
-                seed=13,
-            )
+        # a zero, infinite or NaN total leaves no distribution to draw from
+        for fill in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="degenerate weights"):
+                estimate_weighted_nn_loss(
+                    line_instance,
+                    lambda d: np.full(6, fill),
+                    id_distribution(np.arange(6)),
+                    1,
+                    0.3,
+                    seed=13,
+                )
 
 
 class TestBestK:
@@ -470,7 +503,7 @@ class TestBestK:
             TargetFunction.from_labels(rng.integers(0, 2, size=20)),
         )
         for p in (1, 2):
-            table = exact_soft_loss_table(inst, np.arange(20), None, p)
+            table = exact_soft_loss_table(inst, id_distribution(np.arange(20)), p)
             for k1 in range(1, 21):
                 for k2 in range(k1, 21):
                     bound = loss_stability_bound(p, k1, k2)
@@ -562,7 +595,7 @@ def _reference_soft(inst, dist, k, p, eps, seed):
     t = chernoff_iterations(eps, 1.0 / 3.0)
     x, fx = _reference_draws(inst, dist, t, rng)
     j = rng.integers(0, k, size=(t, p))
-    chosen = np.take_along_axis(inst.neighbor_ids(x, k), j, axis=1)
+    chosen = np.take_along_axis(inst.pool[inst.ranking(x, k)], j, axis=1)
     fj = inst.oracle.query_many(chosen.ravel()).reshape(t, p)
     return float(np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1).mean())
 
@@ -573,7 +606,7 @@ def _reference_lipschitz(inst, dist, k, loss, lipschitz, eps, seed):
     w = lipschitz_inner_samples(lipschitz, eps, t)
     x, fx = _reference_draws(inst, dist, t, rng)
     j = rng.integers(0, k, size=(t, w))
-    chosen = np.take_along_axis(inst.neighbor_ids(x, k), j, axis=1)
+    chosen = np.take_along_axis(inst.pool[inst.ranking(x, k)], j, axis=1)
     fj = inst.oracle.query_many(chosen.ravel()).reshape(t, w)
     return float(np.mean([float(loss(z)) for z in np.abs(fj.mean(axis=1) - fx)]))
 
@@ -582,9 +615,22 @@ def _reference_hard(inst, dist, k, eps, seed):
     rng = np.random.default_rng(seed)
     t = chernoff_iterations(eps, 1.0 / 3.0)
     x, fx = _reference_draws(inst, dist, t, rng)
-    fj = inst.oracle.query_many(inst.neighbor_ids(x, k).ravel()).reshape(t, k)
+    fj = inst.oracle.query_many(inst.pool[inst.ranking(x, k)].ravel()).reshape(t, k)
     pred = (fj.mean(axis=1) > 0.5).astype(np.int8)
     return float(np.abs(pred - fx).astype(float).mean())
+
+
+def _reference_weighted(inst, weights, dist, p, eps, seed):
+    # One rng.choice over the normalized weights per draw.
+    rng = np.random.default_rng(seed)
+    t = chernoff_iterations(eps, 1.0 / 3.0)
+    x, fx = _reference_draws(inst, dist, t, rng)
+    chosen = np.empty((t, p), dtype=np.intp)
+    for i, xi in enumerate(x):
+        w = np.asarray(weights(inst.space.cross([xi], inst.pool)[0]), dtype=float)
+        chosen[i] = rng.choice(inst.size, size=p, replace=True, p=w / w.sum())
+    fj = inst.oracle.query_many(inst.pool[chosen].ravel()).reshape(t, p)
+    return float(np.prod(np.abs(fj - fx[:, None]).astype(float), axis=1).mean())
 
 
 def _equivalence_case(name):
@@ -667,6 +713,24 @@ class TestDistinctRankingEquivalence:
         new, ref = make(), make()
         est = estimate_hard_error(new, dist, 5, 0.1, seed=6)
         assert est.value == _reference_hard(ref, dist, 5, 0.1, seed=6)
+        self._assert_same_queries(new, ref)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            lambda d: np.exp(-4.0 * d),
+            lambda d: 1.0 / (1.0 + d) ** 2,
+            lambda d: (d <= np.sort(d)[2]).astype(float),
+        ],
+        ids=["exp", "inverse-square", "three-nearest"],
+    )
+    def test_weighted_nn_loss(self, case, weights, p):
+        make, dist = case
+        new, ref = make(), make()
+        est = estimate_weighted_nn_loss(new, weights, dist, p, 0.1, seed=7 + p)
+        assert est.value == _reference_weighted(ref, weights, dist, p, 0.1, seed=7 + p)
+        assert est.queries_used == ref.oracle.used
         self._assert_same_queries(new, ref)
 
 
