@@ -265,7 +265,7 @@ class _StarSpace:
         same = x // self.star_size == y // self.star_size
         return np.where(same, self._within(x, y), self.CROSS_STAR)
 
-    def ranking(self, x_ids, pool: np.ndarray, k: int | None = None) -> np.ndarray:
+    def ranking(self, x_ids, pool: np.ndarray, k: int) -> np.ndarray:
         """Exactly the stable ranking of cross(x_ids, pool), cut to k: a
         star-s query ranks star s's own pool positions by their in-star
         distances, then every other pool position in ascending order (all
@@ -273,7 +273,7 @@ class _StarSpace:
         the in-star blocks are small and hold few distinct distances, so
         they are stable-sorted whole."""
         x = self._check_ids(np.atleast_1d(x_ids))
-        width = pool.shape[0] if k is None else min(k, pool.shape[0])
+        width = min(k, pool.shape[0])
         x_star = x // self.star_size
         pool_star = pool // self.star_size
         out = np.empty((x.shape[0], width), dtype=np.intp)

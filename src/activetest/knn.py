@@ -123,9 +123,9 @@ class MetricSpace:
             return np.abs(self.coords[x][:, None] - self.coords[y][None, :])
         return self.matrix[np.ix_(x, y)]
 
-    def ranking(self, x_ids, pool: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Stable ranking of pool positions by distance from each query id;
-        see `KnnInstance.ranking`."""
+    def ranking(self, x_ids, pool: np.ndarray, k: int) -> np.ndarray:
+        """Stable ranking of pool positions by distance from each query id,
+        cut to k; see `KnnInstance.ranking`."""
         return _stable_top_k(self.cross(x_ids, pool), k)
 
     def ranking_keys(self, pool: np.ndarray) -> None:
@@ -136,7 +136,7 @@ class MetricSpace:
         return float(self.cross([a], [b])[0, 0])
 
 
-def _stable_top_k(d: np.ndarray, k: int | None = None) -> np.ndarray:
+def _stable_top_k(d: np.ndarray, k: int) -> np.ndarray:
     """Exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``.
 
     Below the row length it selects instead of sorting: np.partition finds
@@ -147,7 +147,7 @@ def _stable_top_k(d: np.ndarray, k: int | None = None) -> np.ndarray:
     positions, in ascending position order, are then stable-sorted.
     """
     n = d.shape[1]
-    if k is None or k >= n:
+    if k >= n:
         return np.argsort(d, axis=1, kind="stable")
     kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
     keep = d <= kth
@@ -197,15 +197,13 @@ class KnnInstance:
     by star.
 
     Rankings cost no labels and depend only on the space and the pool, so
-    the instance memoizes its top-k rankings: for each width k below the
-    pool size it keeps every id ranked so far, sorted, with its k-prefix
-    row, and ranks an id at most once per width. Its `with_oracle` copies
-    share that memo, so a truth builder and every trial on the same pool
-    rank each neighborhood once between them. The memo holds only the rows
-    asked for, O(rows ranked x k) ints per width, plus at most one key map
-    the size of the space. Full rankings (k None or at least the pool
-    size) are not memoized: each such row is pool-sized, and their one
-    caller, `best_k`, ranks fresh draws in every search.
+    the instance memoizes them: for each width k, up to the pool size, it
+    keeps every id ranked so far, sorted, with its k-prefix row, and ranks
+    an id at most once per width. Its `with_oracle` copies share that memo,
+    so a truth builder and every trial on the same pool rank each
+    neighborhood once between them. The memo holds only the rows asked
+    for, rows ranked x k positions per width (one byte each for a pool of
+    up to 256), plus at most one key map the size of the space.
 
     `ranking_keys` may fold ids whose rankings are provably equal into one
     key, ranked once for all of them; `MetricSpace` folds nothing, and the
@@ -229,6 +227,9 @@ class KnnInstance:
         # or the new pair whole; two concurrent misses may drop one merge,
         # which costs a later re-rank, never a wrong row.
         self._memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Rows are kept in the narrowest type that holds a pool position,
+        # so a full-width entry adds little to a trial's peak memory.
+        self._row_dtype = np.min_scalar_type(self.size - 1)
 
     def with_oracle(self, oracle) -> "KnnInstance":
         """The same space, pool and ranking memo under another oracle, whose
@@ -245,19 +246,21 @@ class KnnInstance:
         """Pool positions sorted by distance from each query id, ties broken
         by the lower pool position: exactly ``np.argsort(space.cross(x_ids,
         pool), axis=1, kind="stable")[:, :k]``. Shape (len(x_ids),
-        min(k, size)); the whole pool when k is None. Top-k rankings come
-        from the memo (see the class docstring)."""
-        if k is None or not 1 <= k < self.size:
-            return self.space.ranking(x_ids, self.pool, k)
-        k = int(k)
+        min(k, size)); the whole pool when k is None. Rows come from the
+        memo (see the class docstring)."""
+        if k is not None and (not isinstance(k, (int, np.integer)) or k < 1):
+            raise ValueError("invalid k")
+        k = self.size if k is None else min(int(k), self.size)
         x = self.space._check_ids(np.atleast_1d(x_ids))
         keys = x if self._keys is None else self._keys[x]
-        ids, rows = self._memo.get(k) or (x[:0], np.empty((0, k), dtype=np.intp))
+        ids, rows = self._memo.get(k, (keys[:0], None))
+        if not ids.size:
+            ids, pos = np.unique(keys, return_inverse=True)
+            rows = self.space.ranking(ids, self.pool, k).astype(self._row_dtype)
+            self._memo[k] = (ids, rows)
+            return rows[pos].astype(np.intp)
         pos = np.searchsorted(ids, keys)
-        if ids.size:
-            known = np.take(ids, pos, mode="clip") == keys
-        else:
-            known = np.zeros(keys.shape, dtype=bool)
+        known = np.take(ids, pos, mode="clip") == keys
         if not known.all():
             new = np.unique(keys[~known])
             at = np.searchsorted(ids, new)
@@ -265,7 +268,7 @@ class KnnInstance:
             rows = np.insert(rows, at, self.space.ranking(new, self.pool, k), axis=0)
             self._memo[k] = (ids, rows)
             pos = np.searchsorted(ids, keys)
-        return rows[pos]
+        return rows[pos].astype(np.intp)
 
 
 def id_distribution(ids, probs=None) -> Distribution:
@@ -319,7 +322,8 @@ def _ranked_test_draws(
     # to its k nearest when k is given.
     fx, ux, inv = _draw_ids(inst, test_dist, n, rng)
     rank = inst.ranking(ux) if k is None else inst.ranking(ux, k)
-    return fx, inst.pool[rank], inv
+    # Ids overwrite the positions in place: no second pool-sized block.
+    return fx, np.take(inst.pool, rank, out=rank), inv
 
 
 def _test_atoms(inst: KnnInstance, test_dist: Distribution):
@@ -545,6 +549,14 @@ def _coupled_ranks(u: np.ndarray, ks) -> np.ndarray:
     return (u * np.asarray(ks, dtype=float)[:, None, None]).astype(np.int32)
 
 
+def _grid_ids(flat, rows, u, ks):
+    # The neighbor ids of grid points ks, shaped (len(ks), *u.shape); the
+    # index array dies here, before the labels are allocated.
+    j = _coupled_ranks(u, ks).astype(rows.dtype, copy=False)
+    j += rows[:, None]
+    return flat[j]
+
+
 def best_k(
     inst: KnnInstance,
     test_dist: Distribution,
@@ -567,7 +579,8 @@ def best_k(
     T'*(1 + G*p) queries.
 
     The grid shares its randomness. Test points and their labels are
-    drawn once, and each distinct test point is ranked once. Neighbor
+    drawn once, and each distinct test point is ranked once per instance
+    (full-width memo rows, shared with the truth builder). Neighbor
     draws are coupled (common random numbers): one uniform u per draw and
     column, and grid point k reads rank floor(u*k) of the draw's ranking.
     For a fixed k the T' draws stay i.i.d., so each grid estimate keeps
@@ -597,9 +610,8 @@ def best_k(
     step = max(1, _GRID_CHUNK_LABELS // (total * p))
     hits = []
     for lo in range(0, len(grid), step):
-        j = _coupled_ranks(u, grid[lo : lo + step]).astype(rows.dtype, copy=False)
-        j += rows[:, None]
-        fj = inst.oracle.query_many(flat[j].ravel()).reshape(j.shape)
+        ids = _grid_ids(flat, rows, u, grid[lo : lo + step])
+        fj = inst.oracle.query_many(ids.ravel()).reshape(ids.shape)
         hits.append(_all_differ(fj, fx))
     losses = np.concatenate(hits) / total
     table = [(k, float(v)) for k, v in zip(grid, losses)]

@@ -33,6 +33,7 @@ from activetest import harness, star_instance_from_json
 from activetest.bandit import _StarSpace
 from activetest.harness import (
     _REGISTRY,
+    _build_best_k,
     _build_compose_da,
     _build_knn_hard,
     _build_knn_soft,
@@ -308,7 +309,7 @@ class TestKnnSeededOutputs:
         assert [r.truth.hex() for r in rep.rows] == [truth] * 3
         assert [(r.queries, r.unlabeled) for r in rep.rows] == [bill] * 3
 
-    @pytest.mark.parametrize("algorithm", ["knn-soft", "knn-hard", "star-hard"])
+    @pytest.mark.parametrize("algorithm", ["knn-soft", "knn-hard", "star-hard", "best-k"])
     def test_threads_sharing_the_memo_match_serial(self, algorithm):
         eps, params = _SEEDED_CONFIGS[algorithm]
         config = TrialConfig(algorithm, eps=eps, trials=24, seed=11, params=params)
@@ -322,6 +323,7 @@ class TestKnnSeededOutputs:
             (_build_knn_soft, 0.1, MetricSpace),
             (_build_knn_hard, 0.1, MetricSpace),
             (_build_star_hard, 0.15, _StarSpace),
+            (_build_best_k, 0.2, MetricSpace),
         ],
     )
     def test_trials_rank_nothing_after_set_up(self, build, eps, space_type, monkeypatch):

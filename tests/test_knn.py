@@ -195,7 +195,7 @@ class TestRankingMemo:
             got = inst.ranking(x, k)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         for k, (ids, rows) in inst._memo.items():
-            assert k < inst.size and rows.shape == (ids.size, k)
+            assert k <= inst.size and rows.shape == (ids.size, k)
             assert np.all(np.diff(ids) > 0)
 
     def test_star_keys_share_explicit_distance_rows(self):
@@ -218,15 +218,31 @@ class TestRankingMemo:
             for k in range(1, inst.size + 1):
                 assert np.array_equal(inst.ranking(ids, k), explicit.ranking(ids, k))
 
-    def test_full_rankings_bypass_the_memo(self):
+    def test_full_rankings_share_the_pool_width(self, monkeypatch):
         space = MetricSpace.euclidean1d(np.linspace(0.0, 1.0, 9))
         inst = KnnInstance(space, np.arange(0, 9, 2), TargetFunction.constant(0))
-        inst.ranking(np.arange(9))
-        inst.ranking(np.arange(9), inst.size)
-        inst.ranking(np.arange(9), inst.size + 3)
+        ranked = []
+        fresh = MetricSpace.ranking
+
+        def counting(self, x_ids, pool, k=None):
+            ranked.extend(np.atleast_1d(x_ids).tolist())
+            return fresh(self, x_ids, pool, k)
+
+        monkeypatch.setattr(MetricSpace, "ranking", counting)
+        want = np.argsort(space.cross(np.arange(9), inst.pool), axis=1, kind="stable")
+        for x, k in [([4, 1, 4], None), (range(9), inst.size), ([8, 0], inst.size + 3)]:
+            assert np.array_equal(inst.ranking(x, k), want[list(x)])
+        assert list(inst._memo) == [inst.size]
+        assert inst._memo[inst.size][1].dtype == np.uint8
+        assert sorted(ranked) == list(range(9))
+
+    @pytest.mark.parametrize("k", [0, -2, 2.5])
+    def test_bad_width_rejected(self, k):
+        space = MetricSpace.euclidean1d(np.linspace(0.0, 1.0, 9))
+        inst = KnnInstance(space, np.arange(0, 9, 2), TargetFunction.constant(0))
+        with pytest.raises(ValueError, match="invalid k"):
+            inst.ranking(np.arange(9), k)
         assert inst._memo == {}
-        inst.ranking(np.arange(9), 2)
-        assert list(inst._memo) == [2]
 
     def test_each_id_ranked_once_per_width(self, monkeypatch):
         space = MetricSpace.euclidean1d(np.linspace(0.0, 1.0, 20))
