@@ -3,8 +3,8 @@
 A composition property puts an independent class on each of m equal-mass
 blocks and a global budget on the total class parameter. Its empirical
 distance gives that budget to the largest decrements of convex per-block
-cost curves; its active estimator subsamples blocks, so labels scale with
-the number of sampled blocks rather than with m.
+cost curves, got in one call; its active estimator subsamples blocks, so
+labels scale with the number of sampled blocks rather than with m.
 """
 
 from __future__ import annotations
@@ -56,18 +56,19 @@ ORACLE_REPETITIONS = 3
 class CompositionSpec:
     """Blockwise structure of a composition property.
 
-    block_cost_curve(i, sample_i, kmax) returns the vector [cost(0..kmax)],
-    cost(k) being the exact distance of block i's labeled sample to its
-    class at parameter k; it must be non-increasing and convex in k, each
-    within 1e-12. block_of maps points to block indices.
+    cost_curves(sample, edges, kmax), called once per solve, gets the
+    labeled sample sorted stably by block: block i is rows edges[i] up to
+    edges[i + 1], possibly none. It returns a (len(edges) - 1, w) array,
+    1 <= w <= kmax + 1, row i being [cost(0..w-1)] for block i's points,
+    cost(k) their exact distance to the class at parameter k, read as flat
+    past the row's end; each row non-increasing and convex, within 1e-12.
+    No curve reads a block index. block_of maps points to integer block
+    ids in [0, num_blocks).
     """
 
     num_blocks: int
-    block_cost_curve: Callable[[int, WeightedSample, int], np.ndarray]
+    cost_curves: Callable[[WeightedSample, np.ndarray, int], np.ndarray]
     block_of: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def cost_curve(self, i: int, sample_i: WeightedSample, kmax: int) -> np.ndarray:
-        return np.asarray(self.block_cost_curve(i, sample_i, kmax), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,15 @@ def uniform_block_index(points, m: int) -> np.ndarray:
 def at_most_k_ones_spec(num_blocks: int, block_of=None) -> CompositionSpec:
     """Toy composition for tests: block class = labelings with at most k ones."""
 
-    def curve(i, sample_i, kmax):
-        w = sample_i.weights[sample_i.labels == 1]
-        ones_sorted = np.sort(w)[::-1]
-        total = float(ones_sorted.sum())
-        saved = np.concatenate(([0.0], np.cumsum(ones_sorted)))
-        out = total - saved[np.minimum(np.arange(kmax + 1), len(ones_sorted))]
+    def curves(sample, edges, kmax):
+        out = np.empty((len(edges) - 1, kmax + 1))
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            ones = np.sort(sample.weights[a:b][sample.labels[a:b] == 1])[::-1]
+            saved = np.concatenate(([0.0], np.cumsum(ones)))
+            out[i] = float(ones.sum()) - saved[np.minimum(np.arange(kmax + 1), ones.shape[0])]
         return np.maximum(out, 0.0)
 
-    return CompositionSpec(num_blocks=num_blocks, block_cost_curve=curve, block_of=block_of)
+    return CompositionSpec(num_blocks, curves, block_of=block_of)
 
 
 def distance_to_truncated_composition(
@@ -120,8 +121,10 @@ def distance_to_truncated_composition(
     blocks (Gross 1956): exchanging an untaken larger decrement for a taken
     smaller one never costs more. The distance is the sum of the curves'
     minima plus the positive decrements left untaken, summed upward from
-    the exact minima so that a zero distance reads exactly 0.0. A curve
-    that increases or is not convex by more than 1e-12 raises ValueError.
+    the exact minima so that a zero distance reads exactly 0.0. A flat tail
+    holds no positive decrement, so a curve cut short of kmax + 1 entries
+    gives the same distance. A curve array of another shape, or a curve
+    that increases or is not convex by more than 1e-12, raises ValueError.
     """
     ids = np.asarray(block_ids)
     if ids.shape[0] != len(sample):
@@ -134,26 +137,22 @@ def distance_to_truncated_composition(
         raise ValueError("domain mismatch")
     total = int(math.floor(budget.total))
     kmax = min(int(budget.cap), total)
-    floors = np.empty(spec.num_blocks)
-    drops = [np.empty(0)]
-    # Block i's points are rows edges[i]:edges[i+1] of the sample sorted
-    # stably by block id, in their sample order.
     ids = ids.astype(np.intp)
     order = np.argsort(ids, kind="stable")
-    pts, wts, lab = sample.points[order], sample.weights[order], sample.labels[order]
-    edges = [0] + np.cumsum(np.bincount(ids, minlength=spec.num_blocks)).tolist()
-    for i in range(spec.num_blocks):
-        a, b = edges[i], edges[i + 1]
-        curve = spec.cost_curve(i, WeightedSample(pts[a:b], wts[a:b], lab[a:b]), kmax)[: kmax + 1]
-        drop = curve[:-1] - curve[1:]
-        if np.any(drop < -1e-12) or np.any(drop[1:] > drop[:-1] + 1e-12):
-            raise ValueError("invalid class parameter")
-        floors[i] = curve.min()
-        drops.append(drop[drop > 0])
-    gains = np.concatenate(drops)
+    by_block = WeightedSample(sample.points[order], sample.weights[order], sample.labels[order])
+    edges = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=spec.num_blocks))))
+    curves = np.asarray(spec.cost_curves(by_block, edges, kmax), dtype=float)
+    width = curves.shape[-1] if curves.ndim == 2 else 0
+    if not 0 < width <= kmax + 1 or len(curves) != spec.num_blocks:
+        raise ValueError("invalid class parameter")
+    drop = curves[:, :-1] - curves[:, 1:]
+    if np.any(drop < -1e-12) or np.any(drop[:, 1:] > drop[:, :-1] + 1e-12):
+        raise ValueError("invalid class parameter")
+    # row-major order takes the positive drops block by block
+    gains = drop[drop > 0]
     untaken = gains.shape[0] - total
     rest = np.partition(gains, untaken - 1)[:untaken].sum() if untaken > 0 else 0.0
-    return float(floors.sum() + rest)
+    return float(curves.min(axis=1).sum() + rest)
 
 
 def choose_block_indices(m: int, l: int, rng) -> np.ndarray:
@@ -229,8 +228,8 @@ def composition_da(
     need = q * plan["repetitions"]
     chosen_set = np.zeros(m, dtype=bool)
     chosen_set[chosen] = True
-    hit_pts: list[np.ndarray] = []
     hit_idx: list[np.ndarray] = []
+    hit_blocks: list[np.ndarray] = []
     have = read = 0
     goal = _draws_for_hits(need, l / m)
     while have < need:
@@ -239,32 +238,23 @@ def composition_da(
             raise InsufficientPoolError("insufficient pool")
         pts, idx = pool.take(chunk)
         read += chunk
-        blocks = spec.block_of(pts)
+        blocks = _checked_block_ids(spec.block_of, pts, m)
         mask = chosen_set[blocks]
-        hit_pts.append(pts[mask])
         hit_idx.append(idx[mask])
+        hit_blocks.append(blocks[mask])
         have += int(mask.sum())
         goal = _draws_for_hits(need - have, l / m) if have < need else 0
-    pts_hit = np.concatenate(hit_pts)[:need]
     idx_hit = np.concatenate(hit_idx)[:need]
-    # remap chosen block ids to 0..l-1 for the solver
-    remap = np.full(m, -1, dtype=np.intp)
-    remap[chosen] = np.arange(l)
-    sub_spec = CompositionSpec(
-        num_blocks=l,
-        block_cost_curve=lambda j, s, kmax: spec.block_cost_curve(int(chosen[j]), s, kmax),
-    )
+    pts_hit = pool.points[idx_hit]
+    # the solver sees the chosen blocks, which are sorted, as 0..l-1
+    ids_hit = np.searchsorted(chosen, np.concatenate(hit_blocks)[:need])
+    sub_spec = CompositionSpec(l, spec.cost_curves)
     budget = TruncatedBudget(total=plan["total"], cap=plan["cap"])
     estimates = []
     for r in range(plan["repetitions"]):
         sl = slice(r * q, (r + 1) * q)
-        pts_r = pts_hit[sl]
-        labels_r = pool.label(idx_hit[sl])
-        ids_r = remap[spec.block_of(pts_r)]
-        sample = WeightedSample.uniform(pts_r, labels_r)
-        estimates.append(
-            distance_to_truncated_composition(sample, ids_r, sub_spec, budget)
-        )
+        sample = WeightedSample.uniform(pts_hit[sl], pool.label(idx_hit[sl]))
+        estimates.append(distance_to_truncated_composition(sample, ids_hit[sl], sub_spec, budget))
     return Receipt(float(np.median(estimates)), need, read)
 
 

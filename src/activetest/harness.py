@@ -391,8 +391,8 @@ def exact_interval_block_da(d: int = 1) -> Callable:
         pts, idx = block_pool.take_rest()
         labels = block_pool.label(idx)
         n = pts.shape[0] // reps
-        weights = np.full((reps, n), 1.0 / max(n, 1))
-        rows = _merge_curve(pts.reshape(reps, n), weights, labels.reshape(reps, n), d)
+        weights = np.full(pts.shape[0], 1.0 / max(n, 1))
+        rows = _merge_curve(pts, weights, labels, np.arange(reps + 1) * n, d)
         return np.array([costs[-1] for costs, _ in rows])
 
     return run
@@ -884,17 +884,19 @@ def _crit_truncation_containment() -> tuple[bool, str]:
 
 
 def _brute_force_truncated(sample, ids, spec, total: int, cap: int) -> float:
+    # each block's curve from a call on that block alone, read as flat
+    # past its end, against the solver's one call over all blocks
     kmax = min(cap, total)
     curves = []
     for i in range(spec.num_blocks):
         mask = ids == i
         sub = WeightedSample(sample.points[mask], sample.weights[mask], sample.labels[mask])
-        curves.append(spec.cost_curve(i, sub, kmax))
+        curves.append(spec.cost_curves(sub, np.array([0, len(sub)]), kmax)[0])
     allocs = np.indices((kmax + 1,) * spec.num_blocks).reshape(spec.num_blocks, -1)
     feasible = allocs.sum(axis=0) <= total
     costs = np.zeros(allocs.shape[1])
     for i in range(spec.num_blocks):
-        costs += np.asarray(curves[i])[allocs[i]]
+        costs += curves[i][np.minimum(allocs[i], len(curves[i]) - 1)]
     return float(costs[feasible].min())
 
 

@@ -5,10 +5,11 @@ The exact solver is one greedy segment-merging kernel, O(n log n) for any
 interval budget; it gives both the exact distance with a witness and the
 error curve over every budget. A row needing many merges runs most of
 them as vectorized rounds in numpy and hands the rest to a heap loop,
-with the heap loop's result bit for bit. The approximation solves small
-problems exactly on labeled draws and routes large interval budgets
-through the block-composition estimator, whose label spend is a function
-of the accuracy alone, not of the interval budget.
+with the heap loop's result bit for bit; one call solves many ragged
+rows, such as every block of a composition solve. The approximation
+solves small problems exactly on labeled draws and routes large interval
+budgets through the block-composition estimator, whose label spend is a
+function of the accuracy alone, not of the interval budget.
 """
 
 from __future__ import annotations
@@ -125,33 +126,34 @@ class IntervalUnion:
         return cls(obj["intervals"])
 
 
-def _merge_curve(points, weights, labels, stop: int):
-    """The one interval kernel: greedy segment merging in O(n log n),
-    row-batched.
+def _merge_curve(points, weights, labels, offsets, stop: int):
+    """The one interval kernel: O(n log n) greedy segment merging, by rows.
 
-    Each row of the (rows, n) arrays is its own problem. With v = w1 - w0
-    per distinct position, a union covering positions S disagrees with
-    weight W1 - sum(v over S), so the least disagreement with at most k
-    intervals is W1 minus the best sum of at most k disjoint subarrays of
-    v. Maximal runs of v > 0 and v <= 0 form alternating segments, the
-    nonpositive ones at both ends dropped; with P positive segments the
-    cost at k >= P is the base sum(min(w0, w1)). The best sum is concave
-    in k, and its optimal step from k to k-1 merges the live segment of
-    least |value| b with both neighbours into one of value a+b+c (the
-    exchange argument for k maximum disjoint subarrays): a positive b is
-    given up, a nonpositive one covered, either for |b|. -inf sentinels
-    at the ends absorb a given-up end segment. Costs are accumulated
-    upward from the exact base, never taken as W1 minus the covered
-    weight, so distance zero reads exactly 0.0.
+    Row r, positions offsets[r] up to offsets[r + 1] of the flat arrays,
+    is its own problem; an empty row costs 0. With v = w1 - w0 per
+    distinct position, a union covering positions S disagrees with weight
+    W1 - sum(v over S), so the least disagreement with at most k intervals
+    is W1 minus the best sum of at most k disjoint subarrays of v. Maximal
+    runs of v > 0 and v <= 0 form alternating segments, the nonpositive
+    ones at both ends dropped; with P positive segments the cost at k >= P
+    is the base sum(min(w0, w1)). The best sum is concave in k, and its
+    optimal step from k to k-1 merges the live segment of least |value| b
+    with both neighbours into one of value a+b+c (the exchange argument
+    for k maximum disjoint subarrays): a positive b is given up, a
+    nonpositive one covered, either for |b|. -inf sentinels at the ends
+    absorb a given-up end segment. Costs are accumulated upward from the
+    exact base, never taken as W1 minus the covered weight, so distance
+    zero reads exactly 0.0.
 
-    The sort, tie grouping, segment split and segment sums run once over
-    all rows, row starts being forced cuts; the sort need not be stable,
-    as equal positions are summed before their order is read; a row with
-    P <= stop takes no merge step. Each row's result is the one it gets
-    alone. The merges run per row in :func:`_merge_row`: vectorized rounds
-    of safe merges for a row needing at least ROUNDS_MIN_MERGES of them,
-    the heap loop for a row needing fewer and for what the rounds leave,
-    and the same bits either way.
+    Equal-length rows sort in one 2-D argsort, ragged ones each on its own
+    slice, which gives each row the permutation it gets alone; the sort
+    need not be stable, as equal positions are summed before their order
+    is read. Tie grouping, segment split and segment sums run once over
+    all rows, row starts being forced cuts, so each row's result is the
+    one it gets alone. The merges run per row in :func:`_merge_row`:
+    vectorized rounds of safe merges for a row needing at least
+    ROUNDS_MIN_MERGES of them, the heap loop for a row needing fewer and
+    for what the rounds leave, and the same bits either way.
 
     Returns one (costs, spans) per row: costs[j] is the cost at P - j
     intervals for j = 0..P - min(stop, P); spans is a (min(stop, P), 2)
@@ -159,39 +161,43 @@ def _merge_curve(points, weights, labels, stop: int):
     segments at the stop, a union attaining costs[-1].
     """
     pts = np.asarray(points, dtype=float)
-    rows, n = pts.shape
-    if n == 0:
-        return [(np.zeros(1), np.zeros((0, 2))) for _ in range(rows)]
-    # lead[r] is row r's first position in the flattened rows
-    lead = np.arange(rows + 1) * n
-    order = np.argsort(pts, axis=1)
-    order += lead[:-1, None]
-    order = order.ravel()
-    pts = pts.ravel()[order]
-    w = np.asarray(weights, dtype=float).ravel()[order]
-    lab = np.asarray(labels).ravel()[order]
+    # lead[r] is row r's first position in the flat arrays
+    lead = np.asarray(offsets, dtype=np.intp)
+    rows, lens = lead.shape[0] - 1, np.diff(lead)
+    if rows and np.all(lens == lens[0]):
+        order = np.argsort(pts.reshape(rows, lens[0]), axis=1)
+        order += lead[:-1, None]
+        order = order.ravel()
+    else:
+        order = np.arange(pts.shape[0])
+        for a, b in zip(lead[:-1].tolist(), lead[1:].tolist()):
+            if b - a > 1:
+                order[a:b] = np.argsort(pts[a:b]) + a
+    pts = pts[order]
+    w = np.asarray(weights, dtype=float)[order]
+    lab = np.asarray(labels)[order]
     w0 = np.where(lab == 0, w, 0.0)
     w1 = np.where(lab == 1, w, 0.0)
     # a lone point carries one label, so only rows with repeated
-    # positions pay a base
+    # positions pay a base; the spare last cell takes the end rows' starts
     base = np.zeros(rows)
-    grid = pts.reshape(rows, n)
-    tied = grid[:, 1:] == grid[:, :-1]
-    if tied.any():
-        new = np.ones((rows, n), dtype=bool)
-        new[:, 1:] = ~tied
-        first = np.flatnonzero(new)
+    new = np.ones(pts.shape[0] + 1, dtype=bool)
+    np.not_equal(pts[1:], pts[:-1], out=new[1:-1])
+    new[lead] = True
+    if not new.all():
+        first = np.flatnonzero(new[:-1])
         pts, w0, w1 = pts[first], np.add.reduceat(w0, first), np.add.reduceat(w1, first)
-        lead = np.append(np.searchsorted(first, lead[:-1]), first.shape[0])
+        grouped = np.searchsorted(first, lead)
         least = np.minimum(w0, w1)
-        for r in np.flatnonzero(np.diff(lead) < n):
-            base[r] = least[lead[r] : lead[r + 1]].sum()
+        for r in np.flatnonzero(np.diff(grouped) < lens):
+            base[r] = least[grouped[r] : grouped[r + 1]].sum()
+        lead = grouped
     v = w1 - w0
     up = v > 0
-    cut = np.ones(v.shape[0], dtype=bool)
-    np.not_equal(up[1:], up[:-1], out=cut[1:])
-    cut[lead[:-1]] = True
-    starts = np.flatnonzero(cut)
+    cut = np.ones(v.shape[0] + 1, dtype=bool)
+    np.not_equal(up[1:], up[:-1], out=cut[1:-1])
+    cut[lead] = True
+    starts = np.flatnonzero(cut[:-1])
     val = np.add.reduceat(v, starts)
     # row r keeps segments a..b-1, its nonpositive ends dropped; they
     # alternate from a positive one, so P = (b - a + 1) // 2 of them are
@@ -201,7 +207,9 @@ def _merge_curve(points, weights, labels, stop: int):
     bound = np.append(starts, v.shape[0])
     out = []
     for r in range(rows):
-        a, b = seg[r] + (not pos[seg[r]]), seg[r + 1] - (not pos[seg[r + 1] - 1])
+        a, b = seg[r], seg[r + 1]
+        if a < b:
+            a, b = a + (not pos[a]), b - (not pos[b - 1])
         out.append(_merge_row(pts, val[a:b], bound[a : b + 1], base[r], stop))
     return out
 
@@ -334,7 +342,7 @@ def interval_error_curve(points, weights, labels, kmax: int) -> np.ndarray:
     number P of positive segments."""
     if kmax < 0:
         raise ValueError("invalid class parameter")
-    ((costs, _),) = _merge_curve([points], [weights], [labels], 0)
+    ((costs, _),) = _merge_curve(points, weights, labels, [0, len(points)], 0)
     return costs[::-1][np.minimum(np.arange(kmax + 1), costs.shape[0] - 1)]
 
 
@@ -354,27 +362,25 @@ def exact_distance_to_intervals(
         raise ValueError("domain mismatch")
     sample.require_normalized()
     ((costs, spans),) = _merge_curve(
-        [sample.points], [sample.weights], [sample.labels], int(d)
+        sample.points, sample.weights, sample.labels, [0, len(sample)], int(d)
     )
     return float(costs[-1]), IntervalUnion(spans)
 
 
 def interval_block_spec(m: int) -> CompositionSpec:
     """Composition over the even cut of [0,1] whose block classes are unions
-    of at most k intervals inside the block."""
+    of at most k intervals inside the block: one kernel call gives every
+    block's curve, cut where the one with most positive segments goes flat."""
 
-    def curve(i, sample_i, kmax):
-        if len(sample_i) == 0:
-            return np.zeros(kmax + 1)
-        return interval_error_curve(
-            sample_i.points, sample_i.weights, sample_i.labels, kmax
-        )
+    def curves(s, edges, kmax):
+        # costs[i][k] is block i's cost at k = 0..P_i intervals
+        costs = [c[::-1] for c, _ in _merge_curve(s.points, s.weights, s.labels, edges, 0)]
+        lens = np.array([c.shape[0] for c in costs])
+        k = np.arange(min(kmax + 1, lens.max()))
+        first = np.cumsum(lens) - lens
+        return np.concatenate(costs)[first[:, None] + np.minimum(k, lens[:, None] - 1)]
 
-    return CompositionSpec(
-        num_blocks=m,
-        block_cost_curve=curve,
-        block_of=lambda pts: uniform_block_index(pts, m),
-    )
+    return CompositionSpec(m, curves, block_of=lambda pts: uniform_block_index(pts, m))
 
 
 def rank_positions(points: np.ndarray) -> np.ndarray:

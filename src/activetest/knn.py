@@ -321,7 +321,7 @@ def _ranked_test_draws(
     # Row inv[i] of nbr is the pool sorted by distance from test draw i, cut
     # to its k nearest when k is given.
     fx, ux, inv = _draw_ids(inst, test_dist, n, rng)
-    rank = inst.ranking(ux) if k is None else inst.ranking(ux, k)
+    rank = inst.ranking(ux, k)
     # Ids overwrite the positions in place: no second pool-sized block.
     return fx, np.take(inst.pool, rank, out=rank), inv
 

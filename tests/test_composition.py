@@ -27,6 +27,7 @@ from activetest import (
     interval_block_spec,
     uniform_block_index,
 )
+from activetest import intervals
 from activetest.composition import ERM_SAMPLE_CONSTANT, ORACLE_REPETITIONS
 from activetest.core import chernoff_iterations, median_repetitions
 
@@ -64,12 +65,28 @@ class TestAtMostKOnesSpec:
         s = WeightedSample(
             np.arange(4.0), np.array([0.1, 0.4, 0.2, 0.3]), labels=[1, 1, 0, 1]
         )
-        curve = spec.cost_curve(0, s, 4)
+        (curve,) = spec.cost_curves(s, np.array([0, 4]), 4)
         np.testing.assert_allclose(curve, [0.8, 0.4, 0.1, 0.0, 0.0])
-        assert spec.cost_curve(0, s, 2)[2] == pytest.approx(0.1)
+        assert spec.cost_curves(s, np.array([0, 4]), 2)[0, 2] == pytest.approx(0.1)
+
+    def test_blocks_in_one_call_match_blocks_alone(self):
+        # empty blocks between non-empty ones, one block of zeros only
+        spec = at_most_k_ones_spec(4)
+        s = WeightedSample(
+            np.arange(5.0), np.array([0.1, 0.4, 0.2, 0.3, 0.25]), labels=[1, 1, 0, 0, 1]
+        )
+        edges = np.array([0, 0, 2, 4, 5, 5])
+        curves = spec.cost_curves(s, edges, 3)
+        assert curves.shape == (5, 4)
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            sub = WeightedSample(s.points[a:b], s.weights[a:b], s.labels[a:b])
+            alone = spec.cost_curves(sub, np.array([0, b - a]), 3)[0]
+            assert curves[i].tobytes() == alone.tobytes()
+        np.testing.assert_array_equal(curves[[0, 2, 4]], 0.0)
 
 
 def _brute_truncated(sample, ids, spec, budget):
+    # every block's curve from a call on that block alone
     total = int(math.floor(budget.total))
     cap = min(int(budget.cap), total)
     curves = []
@@ -78,12 +95,13 @@ def _brute_truncated(sample, ids, spec, budget):
         sub = WeightedSample(
             sample.points[mask], sample.weights[mask], sample.labels[mask]
         )
-        curves.append(spec.cost_curve(i, sub, cap))
+        curves.append(spec.cost_curves(sub, np.array([0, len(sub)]), cap)[0])
     best = math.inf
     for alloc in itertools.product(range(cap + 1), repeat=spec.num_blocks):
         if sum(alloc) > total:
             continue
-        best = min(best, sum(c[k] for c, k in zip(curves, alloc)))
+        # a curve is flat past its last entry
+        best = min(best, sum(c[min(k, len(c) - 1)] for c, k in zip(curves, alloc)))
     return best
 
 
@@ -150,7 +168,7 @@ class TestTruncatedDistance:
                 curves.append(np.concatenate((head, tail))[: cap + 1])
             spec = CompositionSpec(
                 num_blocks=m,
-                block_cost_curve=lambda i, s, kmax: curves[i][: kmax + 1],
+                cost_curves=lambda s, edges, kmax: np.array([c[: kmax + 1] for c in curves]),
             )
             sample = WeightedSample.uniform(rng.random(m), labels=np.zeros(m, dtype=int))
             got = distance_to_truncated_composition(
@@ -198,13 +216,42 @@ class TestTruncatedDistance:
     )
     def test_non_monotone_curve_rejected(self, curve):
         spec = CompositionSpec(
-            num_blocks=1, block_cost_curve=lambda i, s, kmax: curve(kmax)
+            num_blocks=1, cost_curves=lambda s, edges, kmax: curve(kmax)[None]
         )
         s = WeightedSample.uniform(np.zeros(2), labels=[0, 1])
         with pytest.raises(ValueError, match="invalid class parameter"):
             distance_to_truncated_composition(
                 s, np.zeros(2, dtype=int), spec, TruncatedBudget(total=2, cap=2)
             )
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 2), (2,), (2, 3, 1), (2, 4), (2, 0)])
+    def test_curve_array_of_another_shape_rejected(self, shape):
+        spec = CompositionSpec(num_blocks=2, cost_curves=lambda s, edges, kmax: np.zeros(shape))
+        s = WeightedSample.uniform(np.zeros(2), labels=[0, 1])
+        with pytest.raises(ValueError, match="invalid class parameter"):
+            distance_to_truncated_composition(
+                s, np.array([0, 1]), spec, TruncatedBudget(total=2, cap=2)
+            )
+
+    def test_one_curve_call_and_one_kernel_call_per_solve(self, monkeypatch):
+        # Work guard, no timing: the solver asks the spec once for every
+        # block's curve, empty blocks included, and the interval spec
+        # answers with one kernel call, so a call per block fails here.
+        kernel_calls, curve_calls = [], []
+        kernel = intervals._merge_curve
+        monkeypatch.setattr(
+            intervals, "_merge_curve", lambda *a: kernel_calls.append(1) or kernel(*a)
+        )
+        spec = interval_block_spec(6)
+        counted = CompositionSpec(6, lambda *a: curve_calls.append(1) or spec.cost_curves(*a))
+        rng = np.random.default_rng(31)
+        s = WeightedSample.uniform(rng.random(60), labels=rng.integers(0, 2, size=60))
+        ids = spec.block_of(s.points)
+        ids[ids == 2] = 3  # block 2 left empty
+        budget = TruncatedBudget(total=4, cap=2)
+        got = distance_to_truncated_composition(s, ids, counted, budget)
+        assert curve_calls == [1] and kernel_calls == [1]
+        assert got == pytest.approx(_brute_truncated(s, ids, spec, budget), abs=1e-12)
 
 
 class TestBlockSamplers:
@@ -317,10 +364,46 @@ class TestCompositionDa:
         with pytest.raises(ValueError, match="invalid parameter"):
             composition_da(pool, spec, 0.0, 0.3, 0.5)
         no_partition = CompositionSpec(
-            num_blocks=4, block_cost_curve=lambda i, s, kmax: np.zeros(kmax + 1)
+            num_blocks=4, cost_curves=lambda s, edges, kmax: np.zeros((len(edges) - 1, kmax + 1))
         )
         with pytest.raises(ValueError, match="partition violation"):
             composition_da(pool, no_partition, 1.0, 0.3, 0.5)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 0.5])
+    def test_bad_block_ids_rejected(self, bad):
+        # an id of -1 would read block m - 1 and one of m past the end
+        pool = ActivePool(
+            np.random.default_rng(3).random(800), LabelOracle(TargetFunction.constant(0))
+        )
+        spec = CompositionSpec(
+            4,
+            interval_block_spec(4).cost_curves,
+            block_of=lambda pts: np.where(pts < 0.5, bad, 1),
+        )
+        with pytest.raises(ValueError, match="partition violation"):
+            composition_da(pool, spec, 1.0, 0.3, 0.5, seed=1, erm_samples=50)
+
+    def test_each_drawn_point_mapped_to_its_block_once(self):
+        # the hits' block ids from the draw loop feed the solver: block_of
+        # sees exactly the points read, none of them again per repetition
+        spec = interval_block_spec(10)
+        mapped = []
+
+        def block_of(pts):
+            mapped.append(len(pts))
+            return spec.block_of(pts)
+
+        pool = ActivePool(
+            np.random.default_rng(8).random(400),
+            LabelOracle(IntervalUnion([[0.0, 0.5]]).as_target()),
+        )
+        counted = CompositionSpec(10, spec.cost_curves, block_of=block_of)
+        out = composition_da(pool, counted, 2.0, 0.25, 0.5, seed=9, erm_samples=50)
+        assert sum(mapped) == out.unlabeled_used
+        assert out == composition_da(
+            ActivePool(np.random.default_rng(8).random(400), pool.oracle),
+            spec, 2.0, 0.25, 0.5, seed=9, erm_samples=50,
+        )
 
 
 def _block_of_halves(pts):

@@ -328,33 +328,80 @@ def _row_batches(draw):
         else:
             weights.append([w / 7.0 for w in draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))])
     stop = draw(st.integers(0, 5))
-    return np.asarray(pts) / lattice, np.asarray(weights), np.asarray(labels), stop
+    return (*_grid_rows(np.asarray(pts) / lattice, np.asarray(weights), np.asarray(labels)), stop)
+
+
+@st.composite
+def _ragged_batches(draw):
+    """Rows of 0 to 9 points each, empty rows among them, on one small
+    lattice with mixed labels and uneven weights, zeros included."""
+    lens = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7))
+    n, lattice = sum(lens), draw(st.integers(1, 12))
+    pts = draw(st.lists(st.integers(0, lattice - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    offsets = np.concatenate(([0], np.cumsum(lens))).astype(int)
+    stop = draw(st.integers(0, 5))
+    return (
+        np.asarray(pts, dtype=float) / lattice,
+        np.asarray(weights, dtype=float) / 7.0,
+        np.asarray(labels, dtype=np.int8),
+        offsets,
+        stop,
+    )
+
+
+def _grid_rows(pts, weights, labels):
+    """The rows of (rows, n) arrays as the kernel's flat arrays and evenly
+    spaced offsets."""
+    rows, n = pts.shape
+    return pts.ravel(), np.ravel(weights), np.ravel(labels), np.arange(rows + 1) * n
 
 
 class TestRowKernel:
     @staticmethod
-    def _check_rows(pts, weights, labels, stop, brute=True):
-        batch = _merge_curve(pts, weights, labels, stop)
-        assert len(batch) == pts.shape[0]
-        for r, (costs, spans) in enumerate(batch):
-            ((alone_costs, alone_spans),) = _merge_curve(
-                pts[r : r + 1], weights[r : r + 1], labels[r : r + 1], stop
-            )
-            np.testing.assert_array_equal(costs, alone_costs)
-            np.testing.assert_array_equal(spans, alone_spans)
+    def _check_rows(pts, weights, labels, offsets, stop, brute=True):
+        batch = _merge_curve(pts, weights, labels, offsets, stop)
+        assert len(batch) == len(offsets) - 1
+        for (costs, spans), a, b in zip(batch, offsets[:-1], offsets[1:]):
+            p, w, lab = pts[a:b], weights[a:b], labels[a:b]
+            ((alone_costs, alone_spans),) = _merge_curve(p, w, lab, [0, b - a], stop)
+            assert (costs.shape, costs.tobytes()) == (alone_costs.shape, alone_costs.tobytes())
+            assert (spans.shape, spans.tobytes()) == (alone_spans.shape, alone_spans.tobytes())
             assert spans.dtype == np.float64 and spans.shape[1:] == (2,)
             assert len(spans) <= stop
             witness = IntervalUnion(spans)
-            missed = float(weights[r][witness.evaluate(pts[r]) != labels[r]].sum())
+            missed = float(w[witness.evaluate(p) != lab].sum())
             assert missed == pytest.approx(costs[-1], abs=1e-12)
             if brute:
-                expected = _brute_interval_distance(pts[r], weights[r], labels[r], stop)
+                expected = _brute_interval_distance(p, w, lab, stop)
                 assert costs[-1] == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=400, deadline=None)
     @given(_row_batches())
     def test_rows_match_one_row_kernel_and_brute_force(self, batch):
         self._check_rows(*batch)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ragged_batches())
+    def test_ragged_rows_match_one_row_kernel_and_brute_force(self, batch):
+        self._check_rows(*batch)
+
+    def test_ragged_rows_with_empty_rows_between(self):
+        # a composition solve's shape: blocks of very different sizes, tied
+        # and untied, with empty blocks before, between and after them, and
+        # rows long enough to take the vectorized rounds
+        rng = np.random.default_rng(20)
+        for lens in ([0, 5, 0, 0, 17, 1, 0, 40, 0], [3, 0, 2], [0, 0], [900, 0, 1, 1200]):
+            offsets = np.concatenate(([0], np.cumsum(lens)))
+            n = offsets[-1]
+            pts = rng.random(n)
+            pts[::3] = np.round(pts[::3] * 16) / 16
+            labels = (rng.random(n) < 0.5).astype(np.int8)
+            weights = rng.random(n)
+            for stop in (0, 2):
+                self._check_rows(pts, weights, labels, offsets, stop, brute=max(lens) <= 17)
+                self._paths_agree(pts, weights, labels, offsets, stop)
 
     def test_mixed_batch_merged_and_unmerged_rows(self):
         # union-da's shape: striped rows merge past the stop, all-0 rows
@@ -368,21 +415,21 @@ class TestRowKernel:
             stripes = (np.floor(pts * 10) % 2).astype(np.int8)
             labels = np.where(rng.random((rows, 1)) < 0.3, 0, stripes)
             weights = rng.random((rows, n))
-            self._check_rows(pts, weights, labels, stop, brute=False)
-            for costs, _ in _merge_curve(pts, weights, labels, stop):
+            self._check_rows(*_grid_rows(pts, weights, labels), stop, brute=False)
+            for costs, _ in _merge_curve(*_grid_rows(pts, weights, labels), stop):
                 merged += costs.shape[0] > 1
                 unmerged += costs.shape[0] == 1
         assert merged >= 50 and unmerged >= 50
 
     def test_empty_rows(self):
-        out = _merge_curve(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), 2)
+        out = _merge_curve(*_grid_rows(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0))), 2)
         assert [(c.tolist(), s.shape) for c, s in out] == [([0.0], (0, 2))] * 3
 
     @staticmethod
     def _bits(rows):
         return [(c.shape, c.tobytes(), s.shape, s.tobytes()) for c, s in rows]
 
-    def _paths_agree(self, pts, weights, labels, stop):
+    def _paths_agree(self, pts, weights, labels, offsets, stop):
         """Every row that merges at all on the rounds path, then every row
         on the heap loop alone: the same bits. Returns how many rows the
         rounds handed to the heap loop."""
@@ -391,10 +438,10 @@ class TestRowKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intervals, "ROUNDS_MIN_MERGES", 1)
             mp.setattr(intervals, "_merge_heap", lambda *a: tails.append(1) or heap(*a))
-            rounds = _merge_curve(pts, weights, labels, stop)
+            rounds = _merge_curve(pts, weights, labels, offsets, stop)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intervals, "ROUNDS_MIN_MERGES", math.inf)
-            alone = _merge_curve(pts, weights, labels, stop)
+            alone = _merge_curve(pts, weights, labels, offsets, stop)
         assert self._bits(rounds) == self._bits(alone)
         return len(tails)
 
@@ -418,8 +465,8 @@ class TestRowKernel:
         labels = (np.floor(pts * 2 * stop) % 2 == 0) ^ (rng.random(pts.shape) < 0.15)
         weights = np.full(pts.shape, 1.0) if uniform else rng.random(pts.shape)
         weights /= weights.sum(axis=1, keepdims=True)
-        self._paths_agree(pts, weights, labels.astype(np.int8), stop)
-        for costs, spans in _merge_curve(pts, weights, labels, stop):
+        self._paths_agree(*_grid_rows(pts, weights, labels.astype(np.int8)), stop)
+        for costs, spans in _merge_curve(*_grid_rows(pts, weights, labels), stop):
             assert costs.shape[0] > intervals.ROUNDS_MIN_MERGES and len(spans) == stop
 
     def test_monotone_row_hands_its_tail_to_the_heap(self):
@@ -429,7 +476,7 @@ class TestRowKernel:
         pts = np.arange(n, dtype=float)[None] / n
         labels = (np.arange(n) % 2 == 0).astype(np.int8)[None]
         weights = (1.0 + np.arange(n) / n)[None] / n
-        assert self._paths_agree(pts, weights, labels, 0) == 1
+        assert self._paths_agree(*_grid_rows(pts, weights, labels), 0) == 1
 
 
 class TestBlockSpec:
@@ -439,21 +486,33 @@ class TestBlockSpec:
         pts = rng.random(40)
         labels = (pts * 7 % 1 > 0.5).astype(np.int8)
         blocks = spec.block_of(pts)
-        for i in range(4):
-            mask = blocks == i
-            sub = WeightedSample(
-                pts[mask], np.full(mask.sum(), 1 / 40.0), labels[mask]
-            )
-            curve = spec.cost_curve(i, sub, 3)
-            expected = interval_error_curve(
-                pts[mask], sub.weights, labels[mask], 3
-            )
-            np.testing.assert_allclose(curve, expected)
+        order = np.argsort(blocks, kind="stable")
+        by_block = WeightedSample(pts[order], np.full(40, 1 / 40.0), labels[order])
+        edges = np.concatenate(([0], np.cumsum(np.bincount(blocks, minlength=4))))
+        for kmax in (1, 3, 12):
+            curves = spec.cost_curves(by_block, edges, kmax)
+            width = curves.shape[1]
+            assert curves.shape[0] == 4 and 0 < width <= kmax + 1
+            for i in range(4):
+                mask = blocks == i
+                expected = interval_error_curve(
+                    pts[mask], np.full(mask.sum(), 1 / 40.0), labels[mask], kmax
+                )
+                # bit for bit up to the width, flat past it
+                assert curves[i].tobytes() == expected[:width].tobytes()
+                assert np.all(expected[width:] == expected[width - 1])
+            # cut where the block with the most positive segments goes flat
+            assert width == kmax + 1 or np.any(curves[:, -2] > curves[:, -1])
 
     def test_empty_block_is_free(self):
         spec = interval_block_spec(2)
         empty = WeightedSample(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int8))
-        np.testing.assert_array_equal(spec.cost_curve(0, empty, 2), np.zeros(3))
+        assert spec.cost_curves(empty, np.array([0, 0]), 2).tolist() == [[0.0]]
+        # empty blocks before and between non-empty ones read 0 in the
+        # same call
+        s = WeightedSample(np.array([0.1, 0.2, 0.6]), np.full(3, 1 / 3), np.array([1, 0, 1]))
+        curves = spec.cost_curves(s, np.array([0, 0, 2, 2, 3]), 2)
+        assert curves.tolist() == [[0.0, 0.0], [1 / 3, 0.0], [0.0, 0.0], [1 / 3, 0.0]]
 
 
 class TestRankPositions:

@@ -758,8 +758,8 @@ def test_best_k_ranks_each_distinct_test_id_once(monkeypatch):
     rows = []
     ranking = KnnInstance.ranking
 
-    def counting_ranking(self, x_ids):
-        out = ranking(self, x_ids)
+    def counting_ranking(self, x_ids, k=None):
+        out = ranking(self, x_ids, k)
         rows.append(out.shape[0])
         return out
 
