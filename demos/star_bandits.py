@@ -18,10 +18,10 @@ from activetest import (
     aga_schedule,
     build_star_instance_hard,
     estimate_hard_error,
+    exact_hard_error,
     id_distribution,
     natural_aga,
     recover_good_fraction,
-    star_exact_hard_error,
     star_instance_from_json,
     star_instance_to_json,
     star_metadata,
@@ -50,14 +50,14 @@ def reduction_section():
         f" pool size {meta['N']}, {si.instance.space.n} points total"
     )
 
-    exact = star_exact_hard_error(si, k)
+    test = id_distribution(np.arange(si.instance.space.n))
+    exact = exact_hard_error(si.instance, test, k)
     print(f"  exact hard {k}-NN error: {exact:.4f}")
     print(f"  fraction recovered from it: {recover_good_fraction(exact, si.b):.4f}")
 
     inst = KnnInstance(
         si.instance.space, si.instance.pool, LabelOracle(TargetFunction.from_labels(si.labels))
     )
-    test = id_distribution(np.arange(si.instance.space.n))
     est = estimate_hard_error(inst, test, k, eps, seed=33)
     recovered = recover_good_fraction(est.value, si.b)
     print(f"  sampled error={est.value:.4f} using {est.queries_used} labels")

@@ -48,7 +48,7 @@ from .core import (
     as_generator,
     chernoff_iterations,
 )
-from .knn import KnnInstance, MetricSpace
+from .knn import KnnInstance, MetricSpace, _IdSpace
 
 __all__ = [
     "ArmSet",
@@ -66,7 +66,6 @@ __all__ = [
     "star_metadata",
     "star_instance_to_json",
     "star_instance_from_json",
-    "star_exact_hard_error",
     "recover_good_fraction",
 ]
 
@@ -209,7 +208,7 @@ def hard_gamma(k: int, eps: float, constant: float = 1.0) -> float:
     return min(0.5, constant * math.sqrt(math.log(1.0 / eps) / k))
 
 
-class _StarSpace:
+class _StarSpace(_IdSpace):
     """Structured metric over n stars without materializing the matrix.
 
     Star j occupies ids [j*(m+L), (j+1)*(m+L)) with its m centers first
@@ -237,12 +236,6 @@ class _StarSpace:
     @property
     def n(self) -> int:
         return self.n_stars * self.star_size
-
-    def _check_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-            raise ValueError("domain mismatch")
-        return ids
 
     def _profile(self, ids: np.ndarray):
         # Whether each id is a center, and its radius (2 for a leaf).
@@ -294,8 +287,7 @@ class _StarSpace:
         to itself. Proof: an off-pool leaf of star s is at its radius from
         each pooled center of s, at 2 from each pooled leaf of s and at 10
         from every other pool point, whichever leaf it is, so all of them
-        share one distance row to the pool and one ranking (the
-        exchangeability `star_exact_hard_error` enumerates by)."""
+        share one distance row to the pool and one ranking."""
         ids = np.arange(self.n).reshape(self.n_stars, self.star_size)
         folded = np.zeros(self.n, dtype=bool)
         folded[pool] = True
@@ -303,9 +295,6 @@ class _StarSpace:
         folded[:, : self.m] = False
         first = ids[:, :1] + np.argmax(folded, axis=1)[:, None]
         return np.where(folded, first, ids).ravel()
-
-    def dist(self, a: int, b: int) -> float:
-        return float(self.cross([a], [b])[0, 0])
 
     def to_explicit(self) -> MetricSpace:
         ids = np.arange(self.n)
@@ -329,9 +318,6 @@ class StarInstance:
     N: int
     constants: tuple
     seed: int | None
-    center_ids: np.ndarray = field(repr=False)
-    leaf_ids: np.ndarray = field(repr=False)
-    star_of: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
 
@@ -383,8 +369,6 @@ def _distinct_radii(count: int, rng) -> np.ndarray:
 def _assemble(space: _StarSpace, labels, pool, meta: dict, constants, seed):
     labels = np.asarray(labels, dtype=np.int8)
     inst = KnnInstance(space, pool, TargetFunction.from_labels(labels))
-    ids = np.arange(space.n)
-    within = ids % space.star_size
     return StarInstance(
         instance=inst,
         m=space.m,
@@ -394,9 +378,6 @@ def _assemble(space: _StarSpace, labels, pool, meta: dict, constants, seed):
         N=meta["N"],
         constants=constants,
         seed=seed,
-        center_ids=ids[within < space.m],
-        leaf_ids=ids[within >= space.m],
-        star_of=ids // space.star_size,
         labels=labels,
     )
 
@@ -523,41 +504,3 @@ def recover_good_fraction(error_estimate: float, b: int) -> float:
     if b < 1:
         raise ValueError("invalid parameter")
     return float(min(1.0, max(0.0, error_estimate * (1 + b) / b)))
-
-
-def star_exact_hard_error(si: StarInstance, k: int) -> float:
-    """Exact hard k-NN error under the uniform distribution on all points.
-
-    Enumerates by exchangeability instead of point by point: every
-    off-pool leaf of one star has the same distance vector to the pool,
-    hence the same prediction, so one representative ranking per star
-    covers them; pooled leaves and centers are evaluated individually.
-    Verification oracle; reads labels without charging.
-    """
-    inst = si.instance
-    if not (1 <= k <= inst.size):
-        raise ValueError("invalid k")
-    labels = si.labels
-    pool_label = labels[inst.pool]
-
-    def hard_batch(ids: np.ndarray) -> np.ndarray:
-        pos = inst.ranking(ids, k)
-        return (pool_label[pos].mean(axis=1) > 0.5).astype(np.int8)
-
-    total_err = 0.0
-    pooled = np.unique(inst.pool)
-    pooled_leaves = pooled[np.isin(pooled, si.leaf_ids)]
-    if pooled_leaves.size:
-        err = np.abs(hard_batch(pooled_leaves) - labels[pooled_leaves])
-        total_err += float(err.sum())
-    preds_c = hard_batch(si.center_ids)
-    total_err += float(np.abs(preds_c - labels[si.center_ids]).sum())
-    for j in range(si.n):
-        star_leaves = si.leaf_ids[si.star_of[si.leaf_ids] == j]
-        off = star_leaves[~np.isin(star_leaves, pooled_leaves)]
-        if off.size == 0:
-            continue
-        pred = hard_batch(off[:1])[0]
-        # off-pool leaves are labeled 0 and interchangeable within a star
-        total_err += float(abs(int(pred) - int(labels[off[0]]))) * off.size
-    return total_err / inst.space.n

@@ -35,7 +35,6 @@ from .bandit import (
     good_arm_means,
     natural_aga,
     recover_good_fraction,
-    star_exact_hard_error,
 )
 from .composition import (
     TruncatedBudget,
@@ -55,6 +54,7 @@ from .core import (
     WeightedSample,
     chernoff_iterations,
     relative_entropy,
+    spawn_seeds,
 )
 from .intervals import (
     exact_distance_to_intervals,
@@ -708,9 +708,9 @@ def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     si = build_star_instance_hard(n, means, k, eps, (p["c1"], p["c2"]), seed=rng)
     if si.instance.space.n > 2 * ENUMERATION_LIMIT:
         raise ValueError("truth oracle unavailable")
-    exact = star_exact_hard_error(si, k)
-    truth = recover_good_fraction(exact, si.b)
     test_dist = id_distribution(np.arange(si.instance.space.n))
+    exact = exact_hard_error(si.instance, test_dist, k)
+    truth = recover_good_fraction(exact, si.b)
     tf = TargetFunction.from_labels(si.labels)
 
     def run(trial_rng: np.random.Generator):
@@ -728,7 +728,7 @@ def registered_algorithms() -> list[str]:
 def _build_bundle(config: TrialConfig) -> tuple[_Bundle, list]:
     if config.algorithm not in _REGISTRY:
         raise ValueError("unknown algorithm")
-    seqs = np.random.SeedSequence(config.seed).spawn(config.trials + 1)
+    seqs = spawn_seeds(config.seed, config.trials + 1)
     bundle = _REGISTRY[config.algorithm].build(
         config.eps, config.params, np.random.default_rng(seqs[0])
     )

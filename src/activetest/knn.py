@@ -63,7 +63,21 @@ __all__ = [
 _GRID_CHUNK_LABELS = 2**20
 
 
-class MetricSpace:
+class _IdSpace:
+    """What every metric here shares: points are the ids 0..n-1, checked
+    before use. Subclasses supply ``n`` and ``cross``."""
+
+    def _check_ids(self, ids: np.ndarray) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+            raise ValueError("domain mismatch")
+        return ids
+
+    def dist(self, a: int, b: int) -> float:
+        return float(self.cross([a], [b])[0, 0])
+
+
+class MetricSpace(_IdSpace):
     """Finite point set with a symmetric distance, addressed by id.
 
     Two kinds: "euclidean1d" stores one coordinate per point, "explicit"
@@ -109,12 +123,6 @@ class MetricSpace:
             return int(self.coords.shape[0])
         return int(self.matrix.shape[0])
 
-    def _check_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-            raise ValueError("domain mismatch")
-        return ids
-
     def cross(self, x_ids, y_ids) -> np.ndarray:
         """Distance matrix between two id vectors, shape (len(x), len(y))."""
         x = self._check_ids(np.atleast_1d(x_ids))
@@ -131,9 +139,6 @@ class MetricSpace:
     def ranking_keys(self, pool: np.ndarray) -> None:
         """No two ids share a key: the memo keys rankings by id."""
         return None
-
-    def dist(self, a: int, b: int) -> float:
-        return float(self.cross([a], [b])[0, 0])
 
 
 def _stable_top_k(d: np.ndarray, k: int) -> np.ndarray:

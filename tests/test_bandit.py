@@ -23,7 +23,6 @@ from activetest import (
     pull,
     pull_many,
     recover_good_fraction,
-    star_exact_hard_error,
     star_hard_plan,
     star_instance_from_json,
     star_instance_to_json,
@@ -174,6 +173,15 @@ def _tiny_hard_instance(seed=7):
     )
 
 
+def _all_ids(si):
+    return id_distribution(np.arange(si.instance.space.n))
+
+
+def _center_mask(space: _StarSpace) -> np.ndarray:
+    # Each star holds its m centers first, then its leaves.
+    return np.arange(space.n) % space.star_size < space.m
+
+
 class TestStarGeometry:
     def test_distance_structure(self):
         si = _tiny_hard_instance()
@@ -196,16 +204,18 @@ class TestStarGeometry:
 
     def test_labels_and_pool(self):
         si = _tiny_hard_instance()
-        assert np.all(si.labels[si.leaf_ids] == 0)
+        center = _center_mask(si.instance.space)
+        assert np.all(si.labels[~center] == 0)
         assert si.instance.pool.shape == (si.N,)
-        assert si.center_ids.shape == (2 * si.m,)
-        assert si.leaf_ids.shape == (2 * si.m * si.b,)
+        assert np.count_nonzero(center) == 2 * si.m
+        assert np.count_nonzero(~center) == 2 * si.m * si.b
 
     def test_soft_construction_labels(self):
         si = build_star_instance_soft(1, 0.3, 0.0, constants=(1.0, 0.5, 0.02), seed=8)
         assert si.n == 1
-        assert np.all(si.labels[si.leaf_ids] == 1)
-        assert np.all(si.labels[si.center_ids] == 0)  # coin mean zero
+        center = _center_mask(si.instance.space)
+        assert np.all(si.labels[~center] == 1)
+        assert np.all(si.labels[center] == 0)  # coin mean zero
         sure = build_star_instance_soft(1, 0.3, 1.0, constants=(1.0, 0.5, 0.02), seed=8)
         assert np.all(sure.labels == 1)
         with pytest.raises(ValueError):
@@ -262,12 +272,14 @@ class TestStarRanking:
         assert short_seen >= 50
 
     def test_bundled_setup_computes_only_in_star_cells(self, monkeypatch):
-        # Work guard, no timing: the bundled star-hard truth ranks about
-        # 3,070 ids (centers plus distinct pooled leaves) against a
-        # 1,739-point pool of 8 stars; ranking star by star computes about
-        # an eighth of the rows x pool cells a full distance matrix needs.
-        # cross counts twice (it calls _within), which only tightens this.
-        cells, full = [], []
+        # Work guard, no timing: the bundled star-hard truth ranks 3,066
+        # ids (centers, distinct pooled leaves and one off-pool leaf per
+        # star) of 30,408 against a 1,739-point pool of 8 stars; ranking
+        # star by star computes about an eighth of the rows x pool cells a
+        # full distance matrix needs. cross counts twice (it calls
+        # _within), which only tightens this. The ids the space ranks are
+        # exactly the distinct memo keys, so a broken fold fails here.
+        cells, full, ranked, keys = [], [], [], []
         for name in ("cross", "_within"):
             method = getattr(_StarSpace, name)
 
@@ -284,9 +296,36 @@ class TestStarRanking:
             return ranking(self, x_ids, k)
 
         monkeypatch.setattr(KnnInstance, "ranking", counting_ranking)
+        space_ranking = _StarSpace.ranking
+        ranking_keys = _StarSpace.ranking_keys
+
+        def counting_space_ranking(self, x_ids, pool, k):
+            ranked.append(np.size(x_ids))
+            return space_ranking(self, x_ids, pool, k)
+
+        def recording_keys(self, pool):
+            keys.append((self, pool, ranking_keys(self, pool)))
+            return keys[-1][2]
+
+        monkeypatch.setattr(_StarSpace, "ranking", counting_space_ranking)
+        monkeypatch.setattr(_StarSpace, "ranking_keys", recording_keys)
         _build_star_hard(0.15, {}, np.random.default_rng(0))
         assert sum(full) > 3000 * 1700
         assert 0 < sum(cells) <= sum(full) / 4
+        assert len(keys) == 1
+        space, pool, key = keys[0]
+        # Counted apart from the fold: every center, every distinct pooled
+        # leaf, and one key per star with an off-pool leaf.
+        center = _center_mask(space)
+        pooled = np.zeros(space.n, dtype=bool)
+        pooled[pool] = True
+        off_pool = (~center & ~pooled).reshape(space.n_stars, -1)
+        distinct = (
+            np.count_nonzero(center)
+            + np.count_nonzero(pooled & ~center)
+            + np.count_nonzero(off_pool.any(axis=1))
+        )
+        assert sum(ranked) == np.unique(key).shape[0] == distinct
 
 
 class TestStarHardError:
@@ -296,19 +335,20 @@ class TestStarHardError:
             _random_hard_instance(rng, short=i % 5 == 0) for i in range(60)
         ]
         for si in cases:
-            fast = star_exact_hard_error(si, si.k)
+            test_dist = _all_ids(si)
+            # The star instance ranks through its folded memo keys; the
+            # explicit copy ranks every id of its full distance matrix.
+            fast = exact_hard_error(si.instance, test_dist, si.k)
             explicit = KnnInstance(
                 si.instance.space.to_explicit(), si.instance.pool, si.instance.oracle
             )
-            slow = exact_hard_error(
-                explicit, id_distribution(np.arange(si.instance.space.n)), si.k
-            )
+            slow = exact_hard_error(explicit, test_dist, si.k)
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_invalid_k(self):
         si = _tiny_hard_instance()
         with pytest.raises(ValueError, match="invalid k"):
-            star_exact_hard_error(si, 0)
+            exact_hard_error(si.instance, _all_ids(si), 0)
 
     def test_recover_good_fraction(self):
         assert recover_good_fraction(0.25, 4) == pytest.approx(0.3125)
@@ -328,7 +368,9 @@ class TestStarJson:
         np.testing.assert_allclose(
             back.instance.space.radii, si.instance.space.radii
         )
-        assert star_exact_hard_error(back, si.k) == star_exact_hard_error(si, si.k)
+        assert exact_hard_error(back.instance, _all_ids(back), si.k) == exact_hard_error(
+            si.instance, _all_ids(si), si.k
+        )
 
     def test_wrong_metric_rejected(self):
         with pytest.raises(ValueError):

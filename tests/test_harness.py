@@ -254,7 +254,7 @@ class TestKnnSeededOutputs:
         ),
         ("star-hard", 17): (
             ["0x1.351eb851eb852p-1", "0x1.0cccccccccccdp-1", "0x1.9333333333333p-2"],
-            "0x1.071263016a13dp-1",
+            "0x1.071263016a13ep-1",
             240,
         ),
         ("best-k", 3): (
