@@ -19,10 +19,11 @@ distances to the leaves of its star at its radius, and all cross-star
 distances at 10; ties go to pool position. Every distance inside a star
 is at most 2, below the cross-star 10, so a query ranks the pool points
 of its own star first and then every other pool point in pool order; the
-star metric ranks star by star on that fact. The soft generator labels
-leaves 1 and centers by independent coins; the hard generator labels
-leaves 0 and the centers of star j by independent pulls of arm j, so the
-hard misclassification rate carries the good-arm fraction.
+star metric reads each ranking off this layout without any distance. The
+soft generator labels leaves 1 and centers by independent coins; the hard
+generator labels leaves 0 and the centers of star j by independent pulls
+of arm j, so the hard misclassification rate carries the good-arm
+fraction.
 
 Lower-bound statements about these constructions (query-count floors for
 loss estimation and for good-arm counting) are mathematical impossibility
@@ -221,12 +222,14 @@ class _StarSpace(_IdSpace):
     CROSS_STAR = 10.0
 
     def __init__(self, n_stars: int, m: int, b: int, radii: np.ndarray):
-        self.n_stars = n_stars
-        self.m = m
-        self.b = b
-        self.star_size = m * (1 + b)
+        if not all(isinstance(v, (int, np.integer)) for v in (n_stars, m, b)):
+            raise ValueError("invalid parameter")
+        if min(n_stars, m) < 1 or b < 0:
+            raise ValueError("invalid parameter")
+        self.n_stars, self.m, self.b = int(n_stars), int(m), int(b)
+        self.star_size = self.m * (1 + self.b)
         self.radii = np.asarray(radii, dtype=float)
-        if self.radii.shape != (n_stars * m,):
+        if self.radii.shape != (self.n_stars * self.m,):
             raise ValueError("invalid parameter")
         if np.any(self.radii <= 1.0) or np.any(self.radii >= 2.0):
             raise ValueError("invalid parameter")
@@ -237,20 +240,14 @@ class _StarSpace(_IdSpace):
     def n(self) -> int:
         return self.n_stars * self.star_size
 
-    def _profile(self, ids: np.ndarray):
-        # Whether each id is a center, and its radius (2 for a leaf).
-        within = ids % self.star_size
-        is_center = within < self.m
-        center = (ids // self.star_size) * self.m + np.minimum(within, self.m - 1)
-        return is_center, np.where(is_center, self.radii[center], 2.0)
-
     def _within(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # Distances between broadcast id arrays as if they shared one star:
-        # 1 between two centers, else the radius of the center among them,
-        # or 2 between two leaves; 0 on the diagonal.
-        cx, rx = self._profile(x)
-        cy, ry = self._profile(y)
-        return np.where(x == y, 0.0, np.where(cx & cy, 1.0, np.where(cx, rx, ry)))
+        # 1 between two centers, 2 between two leaves, else the radius of
+        # the center among them; 0 on the diagonal.
+        cx, cy = x % self.star_size < self.m, y % self.star_size < self.m
+        star, within = np.divmod(np.where(cx, x, y), self.star_size)
+        r = self.radii[star * self.m + np.minimum(within, self.m - 1)]
+        return np.where(x == y, 0.0, np.where(cx & cy, 1.0, np.where(cx | cy, r, 2.0)))
 
     def cross(self, x_ids, y_ids) -> np.ndarray:
         x = self._check_ids(np.atleast_1d(x_ids))[:, None]
@@ -259,27 +256,40 @@ class _StarSpace(_IdSpace):
         return np.where(same, self._within(x, y), self.CROSS_STAR)
 
     def ranking(self, x_ids, pool: np.ndarray, k: int) -> np.ndarray:
-        """Exactly the stable ranking of cross(x_ids, pool), cut to k: a
-        star-s query ranks star s's own pool positions by their in-star
-        distances, then every other pool position in ascending order (all
-        at the cross-star distance). Only in-star distances are computed;
-        the in-star blocks are small and hold few distinct distances, so
-        they are stable-sorted whole."""
+        """Exactly the stable ranking of cross(x_ids, pool), cut to k, read
+        off the layout. A query x of star s sees four distance classes, in
+        increasing order: 0 at the positions holding x; 1 (x a center) or
+        a center's own radius in (1, 2) (x a leaf) at star s's pooled
+        centers; x's radius in (1, 2) (x a center) or 2 (x a leaf) at star
+        s's pooled leaves; 10 everywhere else. So the row is x's positions,
+        star s's pooled centers (by position, or by radius and then
+        position for a leaf x, radii being distinct), its pooled leaves,
+        then every other position, each block in position order. Only the
+        first block depends on x: a row is x's positions and then one of
+        star s's two templates with x removed. No distance is computed."""
         x = self._check_ids(np.atleast_1d(x_ids))
         width = min(k, pool.shape[0])
-        x_star = x // self.star_size
-        pool_star = pool // self.star_size
-        out = np.empty((x.shape[0], width), dtype=np.intp)
+        x_star, x_within = np.divmod(x, self.star_size)
+        pool_star, pool_within = np.divmod(pool, self.star_size)
+        template = np.empty((x.shape[0], width), dtype=np.intp)
         for s in np.unique(x_star):
-            rows = np.flatnonzero(x_star == s)
-            own = np.flatnonzero(pool_star == s)
-            d = self._within(x[rows][:, None], pool[own][None, :])
-            rank = own[np.argsort(d, axis=1, kind="stable")[:, :width]]
-            out[rows, : rank.shape[1]] = rank
-            if rank.shape[1] < width:
-                tail = np.flatnonzero(pool_star != s)[: width - rank.shape[1]]
-                out[rows, rank.shape[1] :] = tail
-        return out
+            own = pool_star == s
+            cen = np.flatnonzero(own & (pool_within < self.m))
+            radius = self.radii[s * self.m + pool_within[cen]]
+            near = cen[np.argsort(radius, kind="stable")]  # for a leaf query
+            tail = np.flatnonzero(own & (pool_within >= self.m)), np.flatnonzero(~own)
+            both = np.stack([np.concatenate([c, *tail])[:width] for c in (cen, near)])
+            rows = x_star == s
+            template[rows] = both[(x_within[rows] >= self.m).astype(np.intp)]
+        # x's positions (ascending in the stably id-sorted pool), then the
+        # template without them: the first `width` kept cells always fill it.
+        by_id = np.argsort(pool, kind="stable")
+        lo, hi = (np.searchsorted(pool[by_id], x, side) for side in ("left", "right"))
+        col = np.arange(width)
+        mine = by_id[np.minimum(lo[:, None] + col, pool.shape[0] - 1)]
+        keep = np.hstack([col < (hi - lo)[:, None], pool[template] != x[:, None]])
+        keep &= np.cumsum(keep, axis=1) <= width
+        return np.hstack([mine, template])[keep].reshape(x.shape[0], width)
 
     def ranking_keys(self, pool: np.ndarray) -> np.ndarray:
         """Key of each id for `KnnInstance`'s ranking memo: each off-pool
@@ -474,7 +484,7 @@ def star_instance_from_json(text: str) -> StarInstance:
     if obj.get("metric") != "star":
         raise ValueError("invalid parameter")
     s = obj["star"]
-    space = _StarSpace(int(s["n"]), int(s["m"]), int(s["b"]), np.asarray(s["radii"], dtype=float))
+    space = _StarSpace(s["n"], s["m"], s["b"], np.asarray(s["radii"], dtype=float))
     labels = np.asarray(obj["labels"], dtype=np.int8)
     if labels.shape != (space.n,):
         raise ValueError("invalid parameter")

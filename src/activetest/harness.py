@@ -177,7 +177,7 @@ class TrialConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRow:
     trial: int
     output: float

@@ -210,6 +210,21 @@ class TestStarGeometry:
         assert np.count_nonzero(center) == 2 * si.m
         assert np.count_nonzero(~center) == 2 * si.m * si.b
 
+    @pytest.mark.parametrize(
+        "n_stars, m, b, radii",
+        [
+            (0, 1, 1, []),
+            (1, 0, 1, []),
+            (1, 2, -3, [1.2, 1.4]),
+            (1, 1.5, 1, [1.2]),
+            (2.0, 1, 1, [1.2, 1.4]),
+            (1, 1, 0.5, [1.2]),
+        ],
+    )
+    def test_bad_sizes_rejected(self, n_stars, m, b, radii):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            _StarSpace(n_stars, m, b, radii)
+
     def test_soft_construction_labels(self):
         si = build_star_instance_soft(1, 0.3, 0.0, constants=(1.0, 0.5, 0.02), seed=8)
         assert si.n == 1
@@ -274,11 +289,11 @@ class TestStarRanking:
     def test_bundled_setup_computes_only_in_star_cells(self, monkeypatch):
         # Work guard, no timing: the bundled star-hard truth ranks 3,066
         # ids (centers, distinct pooled leaves and one off-pool leaf per
-        # star) of 30,408 against a 1,739-point pool of 8 stars; ranking
-        # star by star computes about an eighth of the rows x pool cells a
-        # full distance matrix needs. cross counts twice (it calls
-        # _within), which only tightens this. The ids the space ranks are
-        # exactly the distinct memo keys, so a broken fold fails here.
+        # star) of 30,408 against a 1,739-point pool of 8 stars; the
+        # rankings are read off the star layout, so set-up computes no
+        # distance at all (neither cross nor _within is called). The ids
+        # the space ranks are exactly the distinct memo keys, so a broken
+        # fold fails here.
         cells, full, ranked, keys = [], [], [], []
         for name in ("cross", "_within"):
             method = getattr(_StarSpace, name)
@@ -311,7 +326,7 @@ class TestStarRanking:
         monkeypatch.setattr(_StarSpace, "ranking_keys", recording_keys)
         _build_star_hard(0.15, {}, np.random.default_rng(0))
         assert sum(full) > 3000 * 1700
-        assert 0 < sum(cells) <= sum(full) / 4
+        assert sum(cells) == 0
         assert len(keys) == 1
         space, pool, key = keys[0]
         # Counted apart from the fold: every center, every distinct pooled
@@ -326,6 +341,45 @@ class TestStarRanking:
             + np.count_nonzero(off_pool.any(axis=1))
         )
         assert sum(ranked) == np.unique(key).shape[0] == distinct
+
+
+    def test_layout_order_matches_argsort_on_edge_layouts(self):
+        # The layout order against the stable argsort of cross, on layouts
+        # that reach each case: a pooled id repeated more often than the
+        # row is wide, stars with no pool point, stars of centers only
+        # (b = 0), and queries that are pooled centers, pooled leaves and
+        # off-pool leaves, at widths 1, k and the whole pool.
+        rng = np.random.default_rng(52)
+        seen = dict.fromkeys(("repeat", "empty", "b0", "center", "leaf", "off"), 0)
+        for i in range(240):
+            n, m = (int(v) for v in rng.integers(1, 4, size=2))
+            b = 0 if i % 3 == 0 else int(rng.integers(1, 4))
+            slots = 10 * n * m
+            radii = 1.0 + (rng.permutation(slots)[: n * m] + 0.5) / slots
+            space = _StarSpace(n, m, b, radii)
+            size = int(rng.integers(1, 2 * space.star_size))
+            pool = rng.integers(0, space.n, size=size)
+            if i % 2:
+                twin = rng.choice(pool)
+                at = rng.integers(0, pool.shape[0] + 1, size=int(rng.integers(4, 8)))
+                pool = np.insert(pool, at, twin)
+            if n > 1 and i % 4 < 2:
+                pool = pool[pool >= space.star_size]
+                pool = np.append(pool, rng.integers(space.star_size, space.n, size=2))
+            k = int(rng.integers(2, 4))
+            x = rng.permutation(space.n)
+            full = np.argsort(space.cross(x, pool), axis=1, kind="stable")
+            for width in (1, k, pool.shape[0]):
+                assert np.array_equal(space.ranking(x, pool, width), full[:, :width])
+            pooled = np.isin(x, pool)
+            center = x % space.star_size < m
+            seen["repeat"] += np.bincount(pool).max() > k
+            seen["empty"] += np.unique(pool // space.star_size).shape[0] < n
+            seen["b0"] += b == 0
+            seen["center"] += np.any(pooled & center)
+            seen["leaf"] += np.any(pooled & ~center)
+            seen["off"] += np.any(~pooled & ~center)
+        assert min(seen.values()) >= 40, seen
 
 
 class TestStarHardError:
@@ -375,6 +429,14 @@ class TestStarJson:
     def test_wrong_metric_rejected(self):
         with pytest.raises(ValueError):
             star_instance_from_json(json.dumps({"metric": "euclidean1d"}))
+
+    @pytest.mark.parametrize("key", ["n", "m", "b"])
+    def test_fractional_star_size_rejected(self, key):
+        # A size of 2.5 is not truncated to 2 and read as a valid instance.
+        obj = json.loads(star_instance_to_json(_tiny_hard_instance()))
+        obj["star"][key] += 0.5
+        with pytest.raises(ValueError, match="invalid parameter"):
+            star_instance_from_json(json.dumps(obj))
 
     def test_label_shape_checked(self):
         si = _tiny_hard_instance()

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict, fields, make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from activetest import (
     MetricSpace,
     TrialConfig,
     TrialReport,
+    TrialRow,
     TruncatedBudget,
     WeightedSample,
     best_k_grid,
@@ -497,6 +499,18 @@ class TestTrialReport:
             "unlabeled",
             "millis",
         }
+
+    def test_rows_are_slotted_and_serialize_unchanged(self, report):
+        # A run keeps every row, so rows carry no per-instance __dict__;
+        # the reports read the same as from plain dict-backed rows.
+        assert not hasattr(report.rows[0], "__dict__")
+        plain_row = make_dataclass(
+            "PlainRow", [(f.name, f.type) for f in fields(TrialRow)], frozen=True
+        )
+        plain = replace(report, rows=[plain_row(**asdict(r)) for r in report.rows])
+        assert hasattr(plain.rows[0], "__dict__")
+        assert plain.to_csv() == report.to_csv()
+        assert plain.to_json() == report.to_json()
 
     def test_write_dispatch(self, report, tmp_path):
         csv_path = tmp_path / "r.csv"
