@@ -266,45 +266,42 @@ class _StarSpace(_IdSpace):
         position for a leaf x, radii being distinct), its pooled leaves,
         then every other position, each block in position order. Only the
         first block depends on x: a row is x's positions and then one of
-        star s's two templates with x removed. No distance is computed."""
+        star s's two templates, center or leaf, with x removed. An id that
+        is not in the pool has no position at distance 0 and appears in no
+        template, so its row is its template verbatim; only pooled ids are
+        fixed up. No distance is computed."""
         x = self._check_ids(np.atleast_1d(x_ids))
         width = min(k, pool.shape[0])
         x_star, x_within = np.divmod(x, self.star_size)
         pool_star, pool_within = np.divmod(pool, self.star_size)
-        template = np.empty((x.shape[0], width), dtype=np.intp)
-        for s in np.unique(x_star):
+        queried = np.bincount(x_star, minlength=self.n_stars) > 0
+        templates = np.empty((np.count_nonzero(queried), 2, width), dtype=np.intp)
+        for i, s in enumerate(np.flatnonzero(queried)):
             own = pool_star == s
             cen = np.flatnonzero(own & (pool_within < self.m))
             radius = self.radii[s * self.m + pool_within[cen]]
             near = cen[np.argsort(radius, kind="stable")]  # for a leaf query
             tail = np.flatnonzero(own & (pool_within >= self.m)), np.flatnonzero(~own)
-            both = np.stack([np.concatenate([c, *tail])[:width] for c in (cen, near)])
-            rows = x_star == s
-            template[rows] = both[(x_within[rows] >= self.m).astype(np.intp)]
-        # x's positions (ascending in the stably id-sorted pool), then the
-        # template without them: the first `width` kept cells always fill it.
-        by_id = np.argsort(pool, kind="stable")
-        lo, hi = (np.searchsorted(pool[by_id], x, side) for side in ("left", "right"))
-        col = np.arange(width)
-        mine = by_id[np.minimum(lo[:, None] + col, pool.shape[0] - 1)]
-        keep = np.hstack([col < (hi - lo)[:, None], pool[template] != x[:, None]])
-        keep &= np.cumsum(keep, axis=1) <= width
-        return np.hstack([mine, template])[keep].reshape(x.shape[0], width)
-
-    def ranking_keys(self, pool: np.ndarray) -> np.ndarray:
-        """Key of each id for `KnnInstance`'s ranking memo: each off-pool
-        leaf maps to the lowest off-pool leaf of its star, every other id
-        to itself. Proof: an off-pool leaf of star s is at its radius from
-        each pooled center of s, at 2 from each pooled leaf of s and at 10
-        from every other pool point, whichever leaf it is, so all of them
-        share one distance row to the pool and one ranking."""
-        ids = np.arange(self.n).reshape(self.n_stars, self.star_size)
-        folded = np.zeros(self.n, dtype=bool)
-        folded[pool] = True
-        folded = ~folded.reshape(ids.shape)
-        folded[:, : self.m] = False
-        first = ids[:, :1] + np.argmax(folded, axis=1)[:, None]
-        return np.where(folded, first, ids).ravel()
+            templates[i] = [np.concatenate([c, *tail])[:width] for c in (cen, near)]
+        # Flat row 2*i + leaf: the i-th queried star's center or leaf template.
+        flat = 2 * (np.cumsum(queried) - 1)[x_star] + (x_within >= self.m)
+        rows = np.take(templates.reshape(-1, width), flat, axis=0)
+        pooled = np.zeros(self.n, dtype=bool)
+        pooled[pool] = True
+        fix = np.flatnonzero(pooled[x])
+        if fix.size:
+            # A pooled x's positions (ascending in the stably id-sorted
+            # pool), then its template without them: the first `width`
+            # kept cells always fill the row.
+            xf, tmpl = x[fix], rows[fix]
+            by_id = np.argsort(pool, kind="stable")
+            lo, hi = (np.searchsorted(pool[by_id], xf, side) for side in ("left", "right"))
+            col = np.arange(width)
+            mine = by_id[np.minimum(lo[:, None] + col, pool.shape[0] - 1)]
+            keep = np.hstack([col < (hi - lo)[:, None], pool[tmpl] != xf[:, None]])
+            keep &= np.cumsum(keep, axis=1) <= width
+            rows[fix] = np.hstack([mine, tmpl])[keep].reshape(fix.size, width)
+        return rows
 
     def to_explicit(self) -> MetricSpace:
         ids = np.arange(self.n)
@@ -315,20 +312,33 @@ class _StarSpace(_IdSpace):
 class StarInstance:
     """Generated k-NN instance over star geometry plus its parameters.
 
-    n is the star count (1 for the soft construction), m the centers per
-    star, b the leaf multiplier (b*m leaves per star), k the neighbor
-    count the construction targets, and N the pool size.
+    k is the neighbor count the construction targets. The sizes are read
+    off the instance: n is the star count (1 for the soft construction),
+    m the centers per star, b the leaf multiplier (b*m leaves per star),
+    and N the pool size.
     """
 
     instance: KnnInstance
-    m: int
-    b: int
-    n: int
     k: int
-    N: int
     constants: tuple
     seed: int | None
     labels: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.instance.space.n_stars
+
+    @property
+    def m(self) -> int:
+        return self.instance.space.m
+
+    @property
+    def b(self) -> int:
+        return self.instance.space.b
+
+    @property
+    def N(self) -> int:
+        return self.instance.size
 
 
 def star_soft_plan(p: int, eps: float, constants: tuple = (1.0, 1.0, 1.0)) -> dict:
@@ -376,20 +386,10 @@ def _distinct_radii(count: int, rng) -> np.ndarray:
     return radii
 
 
-def _assemble(space: _StarSpace, labels, pool, meta: dict, constants, seed):
+def _assemble(space: _StarSpace, labels, pool, k: int, constants, seed):
     labels = np.asarray(labels, dtype=np.int8)
     inst = KnnInstance(space, pool, TargetFunction.from_labels(labels))
-    return StarInstance(
-        instance=inst,
-        m=space.m,
-        b=space.b,
-        n=space.n_stars,
-        k=meta["k"],
-        N=meta["N"],
-        constants=constants,
-        seed=seed,
-        labels=labels,
-    )
+    return StarInstance(inst, k, constants, seed, labels)
 
 
 def build_star_instance_soft(
@@ -416,7 +416,7 @@ def build_star_instance_soft(
     labels = np.ones(space.n, dtype=np.int8)
     labels[:m] = (rng.random(m) < coin_mean).astype(np.int8)
     pool = rng.integers(0, space.n, size=plan["N"])
-    return _assemble(space, labels, pool, plan, tuple(constants), _seed_repr(seed))
+    return _assemble(space, labels, pool, plan["k"], tuple(constants), _seed_repr(seed))
 
 
 def build_star_instance_hard(
@@ -450,7 +450,7 @@ def build_star_instance_hard(
         np.int8
     )
     pool = rng.integers(0, space.n, size=plan["N"])
-    return _assemble(space, labels, pool, plan, tuple(constants), _seed_repr(seed))
+    return _assemble(space, labels, pool, plan["k"], tuple(constants), _seed_repr(seed))
 
 
 def _seed_repr(seed):
@@ -488,11 +488,12 @@ def star_instance_from_json(text: str) -> StarInstance:
     labels = np.asarray(obj["labels"], dtype=np.int8)
     if labels.shape != (space.n,):
         raise ValueError("invalid parameter")
-    pool = np.asarray(obj["pool_indices"], dtype=np.intp)
-    meta = {"k": int(obj["k"]), "N": int(obj["N"])}
-    return _assemble(
-        space, labels, pool, meta, tuple(obj.get("constants", ())), obj.get("seed")
+    si = _assemble(
+        space, labels, obj["pool_indices"], obj["k"], tuple(obj.get("constants", ())), obj.get("seed")
     )
+    if type(si.k) is not int or not 1 <= si.k <= si.N or obj["N"] != si.N:
+        raise ValueError("invalid parameter")
+    return si
 
 
 def star_metadata(si: StarInstance) -> dict:

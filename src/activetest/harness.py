@@ -192,6 +192,18 @@ class TrialRow:
 _CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
 
 
+def _wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval, without continuity correction,
+    for k successes in n trials: scipy's ``binomtest(k, n).proportion_ci(
+    method="wilson")`` (Newcombe 1998) transcribed, to the bit."""
+    z = float.fromhex("0x1.f5c0331eeff84p+0")  # scipy.special.ndtri(0.975)
+    p = k / n
+    denom = 2 * (n + z**2)
+    center = (2 * n * p + z**2) / denom
+    delta = z / denom * math.sqrt(4 * n * p * (1 - p) + z**2)
+    return (0.0 if k == 0 else center - delta, 1.0 if k == n else center + delta)
+
+
 def _csv_cell(key: str, val) -> str:
     if key == "millis":
         return f"{val:.3f}"
@@ -215,19 +227,14 @@ class TrialReport:
         return self.successes / len(self.rows)
 
     def aggregate(self) -> dict:
-        # imported here: scipy.stats takes about 70 MB, and only reports need it
-        from scipy import stats
-
         n = len(self.rows)
-        ci = stats.binomtest(self.successes, n).proportion_ci(
-            confidence_level=0.95, method="wilson"
-        )
+        ci_low, ci_high = _wilson_interval(self.successes, n)
         return {
             "trials": n,
             "successes": self.successes,
             "success_rate": self.successes / n,
-            "ci_low": float(ci.low),
-            "ci_high": float(ci.high),
+            "ci_low": ci_low,
+            "ci_high": ci_high,
             "tolerance": self.tolerance,
             "mean_abs_error": float(np.mean([r.abs_error for r in self.rows])),
             "total_queries": int(sum(r.queries for r in self.rows)),
@@ -711,10 +718,9 @@ def _build_star_hard(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     test_dist = id_distribution(np.arange(si.instance.space.n))
     exact = exact_hard_error(si.instance, test_dist, k)
     truth = recover_good_fraction(exact, si.b)
-    tf = TargetFunction.from_labels(si.labels)
 
     def run(trial_rng: np.random.Generator):
-        trial = si.instance.with_oracle(tf)
+        trial = si.instance.with_oracle(si.instance.oracle.target)
         est = estimate_hard_error(trial, test_dist, k, eps, seed=trial_rng)
         return replace(est, value=recover_good_fraction(est.value, si.b))
 

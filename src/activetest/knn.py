@@ -136,10 +136,6 @@ class MetricSpace(_IdSpace):
         cut to k; see `KnnInstance.ranking`."""
         return _stable_top_k(self.cross(x_ids, pool), k)
 
-    def ranking_keys(self, pool: np.ndarray) -> None:
-        """No two ids share a key: the memo keys rankings by id."""
-        return None
-
 
 def _stable_top_k(d: np.ndarray, k: int) -> np.ndarray:
     """Exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``.
@@ -196,36 +192,30 @@ class KnnInstance:
     broken by pool position; the k nearest are always a prefix of the
     ranking, for every k.
 
-    The space supplies ``cross(x_ids, y_ids)``, ``ranking(x_ids, pool, k)``
-    and ``ranking_keys(pool)``; `MetricSpace` ranks its distance matrix with
-    `_stable_top_k`, and the star metric of `activetest.bandit` ranks star
-    by star.
+    The space supplies ``n``, ``cross(x_ids, y_ids)`` and ``ranking(x_ids,
+    pool, k)``; `MetricSpace` ranks its distance matrix with
+    `_stable_top_k`, and the star metric of `activetest.bandit` reads each
+    row off its star's layout. Pool entries must be integral ids.
 
     Rankings cost no labels and depend only on the space and the pool, so
-    the instance memoizes them: for each width k, up to the pool size, it
-    keeps every id ranked so far, sorted, with its k-prefix row, and ranks
-    an id at most once per width. Its `with_oracle` copies share that memo,
-    so a truth builder and every trial on the same pool rank each
-    neighborhood once between them. The memo holds only the rows asked
-    for, rows ranked x k positions per width (one byte each for a pool of
-    up to 256), plus at most one key map the size of the space.
-
-    `ranking_keys` may fold ids whose rankings are provably equal into one
-    key, ranked once for all of them; `MetricSpace` folds nothing, and the
-    star metric folds each star's off-pool leaves (see
-    `_StarSpace.ranking_keys`). Every returned ranking is the one the space
-    would compute afresh, so outputs are unchanged bit for bit.
+    the instance memoizes them by id: for each width k, up to the pool
+    size, it keeps every id ranked so far, sorted, with its k-prefix row,
+    and ranks an id at most once per width. Its `with_oracle` copies share
+    that memo, so a truth builder and every trial on the same pool rank
+    each neighborhood once between them. The memo holds only the rows
+    asked for, rows ranked x k positions per width (one byte each for a
+    pool of up to 256). Every returned ranking is the one the space would
+    compute afresh, so outputs are unchanged bit for bit.
     """
 
     def __init__(self, space: MetricSpace, pool, oracle):
         self.space = space
-        self.pool = space._check_ids(np.asarray(pool, dtype=np.intp))
+        self.pool = _as_ids(space, pool)
         if self.pool.ndim != 1 or self.pool.shape[0] == 0:
             raise ValueError("invalid parameter")
         if isinstance(oracle, TargetFunction):
             oracle = LabelOracle(oracle)
         self.oracle = oracle
-        self._keys = space.ranking_keys(self.pool)
         # Width k -> (ids, rows): ids sorted and distinct, rows[i] the
         # k-prefix ranking of ids[i]. A miss publishes a new pair and never
         # writes into a published one, so a concurrent reader sees the old
@@ -257,22 +247,21 @@ class KnnInstance:
             raise ValueError("invalid k")
         k = self.size if k is None else min(int(k), self.size)
         x = self.space._check_ids(np.atleast_1d(x_ids))
-        keys = x if self._keys is None else self._keys[x]
-        ids, rows = self._memo.get(k, (keys[:0], None))
+        ids, rows = self._memo.get(k, (x[:0], None))
         if not ids.size:
-            ids, pos = np.unique(keys, return_inverse=True)
+            ids, pos = np.unique(x, return_inverse=True)
             rows = self.space.ranking(ids, self.pool, k).astype(self._row_dtype)
             self._memo[k] = (ids, rows)
             return rows[pos].astype(np.intp)
-        pos = np.searchsorted(ids, keys)
-        known = np.take(ids, pos, mode="clip") == keys
+        pos = np.searchsorted(ids, x)
+        known = np.take(ids, pos, mode="clip") == x
         if not known.all():
-            new = np.unique(keys[~known])
+            new = np.unique(x[~known])
             at = np.searchsorted(ids, new)
             ids = np.insert(ids, at, new)
             rows = np.insert(rows, at, self.space.ranking(new, self.pool, k), axis=0)
             self._memo[k] = (ids, rows)
-            pos = np.searchsorted(ids, keys)
+            pos = np.searchsorted(ids, x)
         return rows[pos].astype(np.intp)
 
 
@@ -302,19 +291,20 @@ def _check_p(p) -> int:
     return int(p)
 
 
-def _as_ids(inst: KnnInstance, vals) -> np.ndarray:
-    # Points of a test distribution are floats; each must be an id.
+def _as_ids(space: _IdSpace, vals) -> np.ndarray:
+    # Pool entries and the points of a test distribution may be floats;
+    # each must be an id.
     vals = np.asarray(vals, dtype=float)
     ids = np.rint(vals).astype(np.intp)
     if np.any(np.abs(vals - ids) > 1e-9):
         raise ValueError("domain mismatch")
-    return inst.space._check_ids(ids)
+    return space._check_ids(ids)
 
 
 def _draw_ids(inst: KnnInstance, test_dist: Distribution, n: int, rng):
     # n test draws labeled in one call: their labels fx, the distinct ids
     # ux, and each draw's index inv into ux.
-    x = _as_ids(inst, test_dist.draw(n, rng))
+    x = _as_ids(inst.space, test_dist.draw(n, rng))
     fx = inst.oracle.query_many(x)
     ux, inv = np.unique(x, return_inverse=True)
     return fx, ux, inv
@@ -335,7 +325,7 @@ def _test_atoms(inst: KnnInstance, test_dist: Distribution):
     # The ids and probabilities an exact oracle enumerates.
     if test_dist.kind != "finite":
         raise ValueError("domain mismatch")
-    return _as_ids(inst, test_dist.atoms), test_dist.probs
+    return _as_ids(inst.space, test_dist.atoms), test_dist.probs
 
 
 def _pool_labels(inst: KnnInstance) -> np.ndarray:

@@ -261,7 +261,7 @@ def _random_hard_instance(rng, short: bool):
     labels[centers] = rng.integers(0, 2, size=centers.shape[0])
     pool = _random_star_pool(rng, space, short)
     k = int(rng.integers(1, pool.shape[0] + 1))
-    return _assemble(space, labels, pool, {"k": k, "N": pool.shape[0]}, (), None)
+    return _assemble(space, labels, pool, k, (), None)
 
 
 class TestStarRanking:
@@ -287,14 +287,12 @@ class TestStarRanking:
         assert short_seen >= 50
 
     def test_bundled_setup_computes_only_in_star_cells(self, monkeypatch):
-        # Work guard, no timing: the bundled star-hard truth ranks 3,066
-        # ids (centers, distinct pooled leaves and one off-pool leaf per
-        # star) of 30,408 against a 1,739-point pool of 8 stars; the
-        # rankings are read off the star layout, so set-up computes no
-        # distance at all (neither cross nor _within is called). The ids
-        # the space ranks are exactly the distinct memo keys, so a broken
-        # fold fails here.
-        cells, full, ranked, keys = [], [], [], []
+        # Work guard, no timing: the bundled star-hard truth ranks all
+        # 30,408 ids of 8 stars against a 1,739-point pool; the rankings
+        # are read off the star layout, so set-up computes no distance at
+        # all (neither cross nor _within is called), and the memo hands
+        # the space each id exactly once.
+        cells, full, ranked = [], [], []
         for name in ("cross", "_within"):
             method = getattr(_StarSpace, name)
 
@@ -312,36 +310,16 @@ class TestStarRanking:
 
         monkeypatch.setattr(KnnInstance, "ranking", counting_ranking)
         space_ranking = _StarSpace.ranking
-        ranking_keys = _StarSpace.ranking_keys
 
-        def counting_space_ranking(self, x_ids, pool, k):
-            ranked.append(np.size(x_ids))
+        def recording_space_ranking(self, x_ids, pool, k):
+            ranked.append(np.atleast_1d(x_ids))
             return space_ranking(self, x_ids, pool, k)
 
-        def recording_keys(self, pool):
-            keys.append((self, pool, ranking_keys(self, pool)))
-            return keys[-1][2]
-
-        monkeypatch.setattr(_StarSpace, "ranking", counting_space_ranking)
-        monkeypatch.setattr(_StarSpace, "ranking_keys", recording_keys)
+        monkeypatch.setattr(_StarSpace, "ranking", recording_space_ranking)
         _build_star_hard(0.15, {}, np.random.default_rng(0))
         assert sum(full) > 3000 * 1700
         assert sum(cells) == 0
-        assert len(keys) == 1
-        space, pool, key = keys[0]
-        # Counted apart from the fold: every center, every distinct pooled
-        # leaf, and one key per star with an off-pool leaf.
-        center = _center_mask(space)
-        pooled = np.zeros(space.n, dtype=bool)
-        pooled[pool] = True
-        off_pool = (~center & ~pooled).reshape(space.n_stars, -1)
-        distinct = (
-            np.count_nonzero(center)
-            + np.count_nonzero(pooled & ~center)
-            + np.count_nonzero(off_pool.any(axis=1))
-        )
-        assert sum(ranked) == np.unique(key).shape[0] == distinct
-
+        assert np.array_equal(np.sort(np.concatenate(ranked)), np.arange(30408))
 
     def test_layout_order_matches_argsort_on_edge_layouts(self):
         # The layout order against the stable argsort of cross, on layouts
@@ -419,6 +397,7 @@ class TestStarJson:
         assert star_metadata(back) == star_metadata(si)
         np.testing.assert_array_equal(back.labels, si.labels)
         np.testing.assert_array_equal(back.instance.pool, si.instance.pool)
+        assert (back.m, back.b, back.n, back.N) == (si.m, si.b, si.n, si.N)
         np.testing.assert_allclose(
             back.instance.space.radii, si.instance.space.radii
         )
@@ -429,6 +408,23 @@ class TestStarJson:
     def test_wrong_metric_rejected(self):
         with pytest.raises(ValueError):
             star_instance_from_json(json.dumps({"metric": "euclidean1d"}))
+
+    @pytest.mark.parametrize(
+        "key, value", [("k", 2.7), ("k", 0), ("k", 1000), ("N", -5)]
+    )
+    def test_bad_k_or_pool_size_rejected(self, key, value):
+        # k must be an integer the pool can serve and N the pool's length;
+        # neither is truncated or taken on trust.
+        obj = json.loads(star_instance_to_json(_tiny_hard_instance()))
+        obj[key] = value
+        with pytest.raises(ValueError, match="invalid parameter"):
+            star_instance_from_json(json.dumps(obj))
+
+    def test_fractional_pool_entry_rejected(self):
+        obj = json.loads(star_instance_to_json(_tiny_hard_instance()))
+        obj["pool_indices"][0] = 0.5
+        with pytest.raises(ValueError, match="domain mismatch"):
+            star_instance_from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("key", ["n", "m", "b"])
     def test_fractional_star_size_rejected(self, key):

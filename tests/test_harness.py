@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, make_dataclass, replace
 
 import numpy as np
@@ -31,6 +34,7 @@ from activetest import (
     striped_union_target,
 )
 from activetest.cli import _trial_config, build_parser, main
+import activetest
 from activetest import harness, star_instance_from_json
 from activetest.bandit import _StarSpace
 from activetest.harness import (
@@ -41,6 +45,7 @@ from activetest.harness import (
     _build_knn_soft,
     _build_star_hard,
     _build_union_da,
+    _wilson_interval,
     check_params,
 )
 
@@ -511,6 +516,40 @@ class TestTrialReport:
         assert hasattr(plain.rows[0], "__dict__")
         assert plain.to_csv() == report.to_csv()
         assert plain.to_json() == report.to_json()
+
+    def test_wilson_interval_matches_scipy_bit_for_bit(self):
+        from scipy import stats
+        from scipy.stats._binomtest import BinomTestResult
+
+        # binomtest(k, n) is the BinomTestResult below plus a p-value that
+        # proportion_ci never reads and that costs most of a millisecond,
+        # so every (k, n) builds the result directly; whole rows of n also
+        # go through binomtest itself.
+        for n in range(1, 301):
+            for k in range(n + 1):
+                result = BinomTestResult(
+                    k=k, n=n, alternative="two-sided", statistic=k / n, pvalue=math.nan
+                )
+                ci = result.proportion_ci(method="wilson")
+                assert _wilson_interval(k, n) == (ci.low, ci.high), (k, n)
+        for n in (1, 2, 57, 300):
+            for k in range(n + 1):
+                ci = stats.binomtest(k, n).proportion_ci(method="wilson")
+                assert _wilson_interval(k, n) == (ci.low, ci.high), (k, n)
+
+    def test_reports_do_not_import_scipy(self):
+        script = (
+            "import sys\n"
+            "from activetest import TrialConfig, run_trials\n"
+            "report = run_trials(TrialConfig('intervals-da', eps=0.25, trials=2, seed=3,"
+            f" params={_FAST_PARAMS!r}))\n"
+            "report.aggregate(), report.to_csv(), report.to_json()\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(activetest.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_write_dispatch(self, report, tmp_path):
         csv_path = tmp_path / "r.csv"

@@ -203,16 +203,8 @@ class TestRankingMemo:
         for _ in range(40):
             space = _memo_space("star", rng)
             pool = rng.integers(0, space.n, size=int(rng.integers(1, 2 * space.star_size + 2)))
-            keys = space.ranking_keys(pool)
-            d = space.to_explicit().matrix[:, pool]
-            assert np.array_equal(d, d[keys])
             ids = np.arange(space.n)
-            leaf = ids % space.star_size >= space.m
-            folded = leaf & ~np.isin(ids, pool)
-            assert np.array_equal(keys[~folded], ids[~folded])
-            # one key per star that has an off-pool leaf
-            stars = np.unique(ids[folded] // space.star_size)
-            assert np.unique(keys[folded]).size == stars.size
+            # every id, pooled or not, ranks as in the explicit matrix
             explicit = KnnInstance(space.to_explicit(), pool, TargetFunction.constant(0))
             inst = KnnInstance(space, pool, TargetFunction.constant(0))
             for k in range(1, inst.size + 1):
@@ -564,6 +556,13 @@ class TestJson:
         )
         with pytest.raises(ValueError):
             knn_instance_from_json(payload)
+
+    def test_fractional_pool_entry_rejected(self, line_instance):
+        # 0.5 is not truncated to id 0 and read as a valid pool.
+        obj = json.loads(knn_instance_to_json(line_instance))
+        obj["pool_indices"][0] = 0.5
+        with pytest.raises(ValueError, match="domain mismatch"):
+            knn_instance_from_json(json.dumps(obj))
 
 
 class _RecordingOracle(LabelOracle):
