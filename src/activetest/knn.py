@@ -20,6 +20,7 @@ estimator's parameters minus `eps` and `seed`.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 
@@ -58,9 +59,12 @@ __all__ = [
 ]
 
 # Most labels `best_k` asks for in one oracle call. The grid is cut into
-# whole grid points so that each call's rank, index and id arrays stay
-# within 8 MB apiece, unless one grid point alone needs more.
+# whole grid points so that each call's id array stays within 8 MB, unless
+# one grid point alone needs more.
 _GRID_CHUNK_LABELS = 2**20
+# Grid points whose neighbor ids `_grid_ids` builds in one pass; at the
+# bundled n=200, p=2, eps=0.2 search a block is 16 x 1,748 ids (224 KB).
+_GRID_BLOCK_ROWS = 16
 
 
 class _IdSpace:
@@ -243,7 +247,7 @@ class KnnInstance:
         pool), axis=1, kind="stable")[:, :k]``. Shape (len(x_ids),
         min(k, size)); the whole pool when k is None. Rows come from the
         memo (see the class docstring)."""
-        if k is not None and (not isinstance(k, (int, np.integer)) or k < 1):
+        if k is not None and (not _is_int(k) or k < 1):
             raise ValueError("invalid k")
         k = self.size if k is None else min(int(k), self.size)
         x = self.space._check_ids(np.atleast_1d(x_ids))
@@ -273,8 +277,13 @@ def id_distribution(ids, probs=None) -> Distribution:
     return Distribution.finite(ids.astype(float), probs)
 
 
+def _is_int(v) -> bool:
+    # An integer that is not a bool: True must not pass for 1.
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_k(inst: KnnInstance, k) -> int:
-    if not isinstance(k, (int, np.integer)) or not (1 <= int(k) <= inst.size):
+    if not _is_int(k) or not (1 <= int(k) <= inst.size):
         raise ValueError("invalid k")
     return int(k)
 
@@ -286,7 +295,7 @@ def _check_eps(eps: float, upper: float = 1.0) -> float:
 
 
 def _check_p(p) -> int:
-    if not isinstance(p, (int, np.integer)) or int(p) < 1:
+    if not _is_int(p) or int(p) < 1:
         raise ValueError("invalid parameter")
     return int(p)
 
@@ -524,8 +533,14 @@ def best_k_grid(n: int, p: int, eps: float) -> list[int]:
     bound its loss is within p*(1 - 1/r) = eps/3 of a grid point's."""
     p = _check_p(p)
     eps = _check_eps(eps, upper=0.5)
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("invalid parameter")
+    return list(_geometric_grid(int(n), p, eps))
+
+
+@functools.lru_cache(maxsize=64)
+def _geometric_grid(n: int, p: int, eps: float) -> tuple[int, ...]:
+    # Keyed by checked plain ints and a float, so True never shares 1's key.
     r = p / (p - eps / 3.0)
     t = int(math.floor(math.log(n) / math.log(r))) if n > 1 else 0
     grid: set[int] = set()
@@ -533,23 +548,36 @@ def best_k_grid(n: int, p: int, eps: float) -> list[int]:
         v = r**i
         grid.add(min(max(int(math.floor(v)), 1), n))
         grid.add(min(max(int(math.ceil(v)), 1), n))
-    return sorted(grid)
+    return tuple(sorted(grid))
 
 
-def _coupled_ranks(u: np.ndarray, ks) -> np.ndarray:
+def _coupled_ranks(u: np.ndarray, ks, out: np.ndarray | None = None) -> np.ndarray:
     """Rank floor(u*k) for each k in ks and each uniform u in [0, 1) of the
-    2-d array u: a (len(ks), *u.shape) int32 array. Rounding to nearest
-    keeps u*k below k, so the rank lies in {0..k-1}, and it does not
-    decrease as k grows."""
-    return (u * np.asarray(ks, dtype=float)[:, None, None]).astype(np.int32)
+    array u: a (len(ks), *u.shape) intp array, written into out when given.
+    Rounding to nearest keeps u*k below k, so the rank lies in {0..k-1}, and
+    it does not decrease as k grows. Each product is truncated as it is
+    stored, exactly as ``astype`` would, so no float64 copy is kept."""
+    k = np.asarray(ks, dtype=float).reshape((-1,) + (1,) * u.ndim)
+    if out is None:
+        out = np.empty(k.shape[:1] + u.shape, dtype=np.intp)
+    return np.multiply(u, k, out=out, casting="unsafe")
 
 
-def _grid_ids(flat, rows, u, ks):
-    # The neighbor ids of grid points ks, shaped (len(ks), *u.shape); the
-    # index array dies here, before the labels are allocated.
-    j = _coupled_ranks(u, ks).astype(rows.dtype, copy=False)
-    j += rows[:, None]
-    return flat[j]
+def _grid_ids(flat, off, u, ks):
+    # The neighbor ids of grid points ks, shaped (len(ks), u.size) for the
+    # flat uniforms u and their draws' row offsets off into flat. Rank,
+    # offset and gather run in place on the output, _GRID_BLOCK_ROWS grid
+    # points at a time, so no product or index array beside it is live.
+    # Every index is in range (rank < k <= row length), so the gather
+    # clips rather than raises: under "raise" numpy gathers into a copy of
+    # `out` and copies it back.
+    ids = np.empty((len(ks), u.size), dtype=np.intp)
+    for lo in range(0, len(ks), _GRID_BLOCK_ROWS):
+        hi = lo + _GRID_BLOCK_ROWS
+        block = _coupled_ranks(u, ks[lo:hi], out=ids[lo:hi])
+        block += off
+        np.take(flat, block, out=block, mode="clip")
+    return ids
 
 
 def best_k(
@@ -586,11 +614,15 @@ def best_k(
     edges, and floor(u*k) is within k*2**-53 of uniform on {0..k-1} in
     total variation.
 
-    The neighbors of all grid points are gathered at once and labeled in
-    one oracle call, grid point by grid point, draw by draw, column by
-    column; past _GRID_CHUNK_LABELS labels the grid is cut into chunks of
-    whole grid points, one call each. The oracle charges each call before
-    reading a label, so a budget short of a chunk refuses that chunk whole.
+    The neighbor ids of all grid points are built in one contiguous array,
+    grid point by grid point, draw by draw, column by column, and labeled
+    in one oracle call. They are built in place, _GRID_BLOCK_ROWS grid
+    points at a time: each block's ranks are truncated straight into the
+    ids' memory, offset to their draws' rankings and gathered there, so no
+    float product or index array is kept beside the ids. Past
+    _GRID_CHUNK_LABELS labels the grid is cut into chunks of whole grid
+    points, one call each. The oracle charges each call before reading a
+    label, so a budget short of a chunk refuses that chunk whole.
     """
     p = _check_p(p)
     eps = _check_eps(eps, upper=0.5)
@@ -598,15 +630,15 @@ def best_k(
     grid = best_k_grid(inst.size, p, eps)
     total = chernoff_iterations(eps / 3.0, 1.0 / (9.0 * len(grid)))
     fx, nbr, inv = _ranked_test_draws(inst, test_dist, total, rng)
-    u = rng.random((total, p))
+    # Draw by draw, column by column: the memory order of a (T', p) array.
+    u = rng.random(total * p)
+    off = np.repeat(inv * inst.size, p)
     flat = nbr.ravel()
-    # Row offsets into flat, int32 like the ranks unless flat outgrows it.
-    rows = (inv * inst.size).astype(np.int32 if flat.size < 2**31 else np.intp)
     step = max(1, _GRID_CHUNK_LABELS // (total * p))
     hits = []
     for lo in range(0, len(grid), step):
-        ids = _grid_ids(flat, rows, u, grid[lo : lo + step])
-        fj = inst.oracle.query_many(ids.ravel()).reshape(ids.shape)
+        ids = _grid_ids(flat, off, u, grid[lo : lo + step])
+        fj = inst.oracle.query_many(ids.ravel()).reshape(len(ids), total, p)
         hits.append(_all_differ(fj, fx))
     losses = np.concatenate(hits) / total
     table = [(k, float(v)) for k, v in zip(grid, losses)]

@@ -368,7 +368,7 @@ class TestStarHardError:
         ]
         for si in cases:
             test_dist = _all_ids(si)
-            # The star instance ranks through its folded memo keys; the
+            # The star instance ranks each id from its star's template; the
             # explicit copy ranks every id of its full distance matrix.
             fast = exact_hard_error(si.instance, test_dist, si.k)
             explicit = KnnInstance(

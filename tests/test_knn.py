@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestRankingMemo:
         assert inst._memo[inst.size][1].dtype == np.uint8
         assert sorted(ranked) == list(range(9))
 
-    @pytest.mark.parametrize("k", [0, -2, 2.5])
+    @pytest.mark.parametrize("k", [0, -2, 2.5, True])
     def test_bad_width_rejected(self, k):
         space = MetricSpace.euclidean1d(np.linspace(0.0, 1.0, 9))
         inst = KnnInstance(space, np.arange(0, 9, 2), TargetFunction.constant(0))
@@ -285,6 +286,55 @@ class TestPredictors:
             knn_predict_soft(line_instance, 0, 0)
         with pytest.raises(ValueError, match="invalid k"):
             knn_predict_soft(line_instance, 0, 7)
+
+
+class TestBoolCounts:
+    """True is an int in Python; as a neighbor count or a power it must fail
+    loudly, not run at 1."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, d: knn_predict_soft(inst, 0, True),
+            lambda inst, d: estimate_soft_loss_pth(inst, d, True, 1, 0.2, seed=0),
+            lambda inst, d: estimate_hard_error(inst, d, True, 0.2, seed=0),
+            lambda inst, d: estimate_loss_lipschitz(inst, d, True, abs, 1.0, 0.3, seed=0),
+            lambda inst, d: exact_soft_loss(inst, d, True, 1),
+            lambda inst, d: exact_hard_error(inst, d, True),
+        ],
+        ids=["predict", "soft", "hard", "lipschitz", "exact-soft", "exact-hard"],
+    )
+    def test_bool_k_rejected(self, line_instance, call):
+        with pytest.raises(ValueError, match="invalid k"):
+            call(line_instance, id_distribution(np.arange(6)))
+        assert line_instance.oracle.used == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, d: best_k_grid(20, True, 0.2),
+            lambda inst, d: best_k(inst, d, True, 0.2, seed=0),
+            lambda inst, d: estimate_soft_loss_pth(inst, d, 3, True, 0.2, seed=0),
+            lambda inst, d: estimate_weighted_nn_loss(inst, lambda r: 1.0 / (1.0 + r), d, True, 0.2, seed=0),
+            lambda inst, d: exact_soft_loss_table(inst, d, True),
+            lambda inst, d: loss_stability_bound(True, 1, 2),
+        ],
+        ids=["grid", "best-k", "soft", "weighted", "exact-table", "stability"],
+    )
+    def test_bool_p_rejected(self, line_instance, call):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            call(line_instance, id_distribution(np.arange(6)))
+        assert line_instance.oracle.used == 0
+
+    @pytest.mark.parametrize("n", [True, 20.0, 0])
+    def test_grid_size_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            best_k_grid(n, 1, 0.2)
+
+    def test_cached_grid_is_a_fresh_list(self):
+        grid = best_k_grid(200, 2, 0.2)
+        grid.append(-1)
+        assert best_k_grid(200, np.int64(2), np.float64(0.2)) == grid[:-1]
 
 
 class TestSoftLossEstimator:
@@ -804,6 +854,87 @@ def test_best_k_chunks_whole_grid_points(monkeypatch, per_call):
     assert bundle.info["search"](np.random.default_rng(1)) == one_call
     assert len(calls) == math.ceil(g * t * 2 / limit) + 1
     assert calls[1:] == [limit] * (len(calls) - 2) + [(g % per_call or per_call) * t * 2]
+
+
+def test_best_k_trial_peak_memory():
+    # Work guard, no timing: one bundled n=200, p=2, eps=0.2 search after a
+    # warm-up peaks at 2,590 KB under tracemalloc. Building all 228,988 grid
+    # ids through a float64 product, its int32 cast and one gather peaked at
+    # 3,085 KB.
+    bundle = _build_best_k(0.2, {"n": 200, "p": 2}, np.random.default_rng(0))
+    search = bundle.info["search"]
+    search(np.random.default_rng(1))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        search(np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2900 * 1024, peak
+
+
+def _old_grid_ids(flat, rows, u, ks):
+    # The build the block build replaced: a float64 (G, T', p) product cast
+    # to int32, the draws' row offsets broadcast over the columns, and one
+    # gather.
+    j = (u * np.asarray(ks, dtype=float)[:, None, None]).astype(np.int32)
+    return flat[j + rows[:, None]]
+
+
+def _old_grid_stream(inst, dist, p, eps, seed):
+    # Every grid label id best_k asks for, in order, built the old way.
+    rng = np.random.default_rng(seed)
+    grid = best_k_grid(inst.size, p, eps)
+    t = chernoff_iterations(eps / 3.0, 1.0 / (9.0 * len(grid)))
+    x, _ = _reference_draws(inst, dist, t, rng)
+    ux, inv = np.unique(x, return_inverse=True)
+    flat = inst.pool[inst.ranking(ux)].ravel()
+    u = rng.random((t, p))
+    return _old_grid_ids(flat, (inv * inst.size).astype(np.int32), u, grid).ravel()
+
+
+class TestGridIds:
+    @pytest.mark.parametrize("block", [16, 5])
+    @pytest.mark.parametrize("g", [1, 17, 37, None])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_block_build_matches_one_gather(self, monkeypatch, p, g, block):
+        # Grids of 1, 17 and 37 points are no multiple of either block size;
+        # the whole n=200 grid has 84, 131 and 160 points for p = 1, 2, 3.
+        monkeypatch.setattr(knn, "_GRID_BLOCK_ROWS", block)
+        rng = np.random.default_rng(40 + p)
+        size, t = 200, 301
+        grid = best_k_grid(size, p, 0.2)[:g]
+        nbr = rng.integers(0, 10**6, size=(29, size))
+        inv = rng.integers(0, 29, size=t)
+        u = rng.random((t, p))
+        u[0], u[1] = 0.0, np.nextafter(1.0, 0.0)
+        ids = knn._grid_ids(nbr.ravel(), np.repeat(inv * size, p), u.ravel(), grid)
+        want = _old_grid_ids(nbr.ravel(), (inv * size).astype(np.int32), u, grid)
+        assert ids.dtype == np.intp
+        np.testing.assert_array_equal(ids, want.reshape(len(grid), t * p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["repeats", "distinct", "ties"])
+    def test_chunked_search_labels_the_old_ids(self, monkeypatch, name, p):
+        # Calls of 4 grid points' labels, built in blocks of 3 grid points:
+        # the grid calls, concatenated, ask for the old build's ids in order.
+        make, dist = _equivalence_case(name)
+        new, ref = make(), make()
+        grid = best_k_grid(new.size, p, 0.45)
+        t = chernoff_iterations(0.15, 1.0 / (9.0 * len(grid)))
+        monkeypatch.setattr(knn, "_GRID_CHUNK_LABELS", 4 * t * p)
+        monkeypatch.setattr(knn, "_GRID_BLOCK_ROWS", 3)
+        best_k(new, dist, p, 0.45, seed=p)
+        calls = [len(b) for b in new.oracle.batches[1:]]
+        assert calls == [4 * t * p] * (len(grid) // 4) + [len(grid) % 4 * t * p] * (len(grid) % 4 > 0)
+        np.testing.assert_array_equal(
+            np.concatenate(new.oracle.batches[1:]), _old_grid_stream(ref, dist, p, 0.45, p)
+        )
 
 
 class TestCoupledRanks:
