@@ -20,6 +20,7 @@ from .core import (
     InsufficientPoolError,
     Receipt,
     WeightedSample,
+    _read_only,
     as_generator,
     chernoff_iterations,
     median_repetitions,
@@ -240,7 +241,7 @@ def composition_da(
         read += chunk
         blocks = _checked_block_ids(spec.block_of, pts, m)
         mask = chosen_set[blocks]
-        hit_idx.append(idx[mask])
+        hit_idx.append(np.flatnonzero(mask) + idx.start)
         hit_blocks.append(blocks[mask])
         have += int(mask.sum())
         goal = _draws_for_hits(need - have, l / m) if have < need else 0
@@ -255,7 +256,7 @@ def composition_da(
         sl = slice(r * q, (r + 1) * q)
         sample = WeightedSample.uniform(pts_hit[sl], pool.label(idx_hit[sl]))
         estimates.append(distance_to_truncated_composition(sample, ids_hit[sl], sub_spec, budget))
-    return Receipt(float(np.median(estimates)), need, read)
+    return Receipt(float(_median(np.array(estimates))), need, read)
 
 
 def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
@@ -281,13 +282,25 @@ def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
     return s, median_repetitions(1.0 / (9.0 * min(s, int(num_blocks))))
 
 
+def _median(values: np.ndarray):
+    """np.median of finite values, bit for bit: the middle one, or the mean
+    of the middle two. np.median's NaN check imports numpy.ma, about 1.3 MB,
+    for values already known finite."""
+    h = values.shape[0] // 2
+    if values.shape[0] % 2:
+        return np.partition(values, h)[h]
+    part = np.partition(values, [h - 1, h])
+    return (part[h - 1] + part[h]) / 2.0
+
+
 def _checked_block_ids(block_of, points: np.ndarray, num_blocks: int) -> np.ndarray:
+    """block_of's ids for the points, in the integer dtype it chose."""
     ids = np.asarray(block_of(points))
-    if not np.issubdtype(ids.dtype, np.integer):
+    if not np.issubdtype(ids.dtype, np.integer) or ids.shape != points.shape[:1]:
         raise ValueError("partition violation")
-    if ids.shape != points.shape[:1] or np.any(ids < 0) or np.any(ids >= num_blocks):
+    if ids.size and (ids.min() < 0 or ids.max() >= num_blocks):
         raise ValueError("partition violation")
-    return ids.astype(np.intp, copy=False)
+    return ids
 
 
 def disjoint_union_da(
@@ -320,7 +333,9 @@ def disjoint_union_da(
     repetitions independent. Nothing here checks that rule, as the one
     pool lets the callback label any of its points: a callback that reads
     across slices, or fits one model to the whole block pool, voids the
-    boost without an error. Anything but reps finite numbers raises
+    boost without an error. block_pool is read-only: its points cannot be
+    written, and its take and label hand out read-only views of its points
+    and query points, not copies. Anything but reps finite numbers raises
     ValueError. block_of must map every pool point to an integer id in
     [0, num_blocks); a drawn block with fewer than reps * block_pool_size
     pool points left raises InsufficientPoolError, and a block_pool_size
@@ -339,13 +354,15 @@ def disjoint_union_da(
     medians = np.empty(blocks.shape[0])
     need = reps * block_pool_size
     queries_before = pool.oracle.used
+    # a pool whose oracle reads its own points hands them to the block pool
+    # as its query points too, so they are gathered once
+    own = pool.query_points is pool.points
     for j, b in enumerate(blocks):
         sel = np.flatnonzero(rest_blocks == b)[:need]
         if sel.shape[0] < need:
             raise InsufficientPoolError("insufficient pool")
-        block_pool = ActivePool(
-            rest_pts[sel], pool.oracle, query_points=pool.query_points[rest_idx[sel]]
-        )
+        query = None if own else pool.query_points[rest_idx.start + sel]
+        block_pool = ActivePool(_read_only(rest_pts[sel]), pool.oracle, query_points=query)
         out = per_block_da(block_pool, reps, eps / 2.0, rng)
         try:
             vals = np.asarray(out, dtype=float)
@@ -353,7 +370,7 @@ def disjoint_union_da(
             raise ValueError("invalid estimate") from exc
         if vals.shape != (reps,) or not np.all(np.isfinite(vals)):
             raise ValueError("invalid estimate")
-        medians[j] = np.median(vals)
+        medians[j] = _median(vals)
     return Receipt(
         float(medians[per_draw].mean()), pool.oracle.used - queries_before, s + len(rest_pts)
     )

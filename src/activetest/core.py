@@ -22,7 +22,6 @@ __all__ = [
     "Receipt",
     "WeightedSample",
     "Distribution",
-    "empirical_distance",
     "relative_entropy",
     "chernoff_iterations",
     "median_repetitions",
@@ -130,8 +129,9 @@ class ActivePool:
 
     Label queries go through :meth:`label`, which only accepts indices into
     the pool, so every spent label provably targets a pool member. `take`
-    hands out the next unread points; `unlabeled_used` is how many have been
-    read so far.
+    hands out the next unread points as a read-only view with their indices
+    as a range, which `label` reads as a slice, so neither is copied;
+    `unlabeled_used` is how many have been read so far.
 
     `query_points`, when given, holds the representation the oracle
     understands for each pool point (used by reductions that relabel the
@@ -162,24 +162,35 @@ class ActivePool:
     def remaining(self) -> int:
         return len(self) - self._cursor
 
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return the next `n` (points, indices); raises once the pool runs dry."""
+    def take(self, n: int) -> tuple[np.ndarray, range]:
+        """Return the next `n` points, a read-only view, and their indices;
+        raises once the pool runs dry."""
         if n < 0:
             raise ValueError("invalid parameter")
-        if self._cursor + n > len(self):
+        a = self._cursor
+        if a + n > len(self):
             raise InsufficientPoolError("insufficient pool")
-        idx = np.arange(self._cursor, self._cursor + n)
         self._cursor += n
-        return self.points[idx], idx
+        return _read_only(self.points[a : a + n]), range(a, a + n)
 
-    def take_rest(self) -> tuple[np.ndarray, np.ndarray]:
+    def take_rest(self) -> tuple[np.ndarray, range]:
         return self.take(self.remaining)
 
     def label(self, indices) -> np.ndarray:
+        if isinstance(indices, range) and indices.step == 1:
+            if indices and (indices.start < 0 or indices.stop > len(self)):
+                raise ValueError("domain mismatch")
+            view = self.query_points[indices.start : indices.stop]
+            return self.oracle.query_many(_read_only(view))
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise ValueError("domain mismatch")
         return self.oracle.query_many(self.query_points[idx])
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -251,15 +262,6 @@ class WeightedSample:
             np.asarray(obj["weights"], dtype=float),
             np.asarray(obj["labels"], dtype=np.int8) if "labels" in obj else None,
         )
-
-
-def empirical_distance(sample: WeightedSample, a, b) -> float:
-    """Weight of the set where two labelings of the same sample disagree."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[0] != len(sample) or b.shape[0] != len(sample):
-        raise ValueError("domain mismatch")
-    return float(sample.weights[a != b].sum())
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@ label-frugal distance approximation.
 
 The exact solver is one greedy segment-merging kernel, O(n log n) for any
 interval budget; it gives both the exact distance with a witness and the
-error curve over every budget. A row needing many merges runs most of
-them as vectorized rounds in numpy and hands the rest to a heap loop,
-with the heap loop's result bit for bit; one call solves many ragged
-rows, such as every block of a composition solve. The approximation
+error curve over every budget. One call solves many ragged rows, such as
+every block of a composition solve or every repetition of a disjoint-union
+block: it prepares them in bounded chunks, resolves pure rows unsorted,
+and runs the merges of every row at once as vectorized rounds in numpy,
+with the heap loop's result bit for bit. The approximation
 solves small problems exactly on labeled draws and routes large interval
 budgets through the block-composition estimator, whose label spend is a
 function of the accuracy alone, not of the interval budget.
@@ -15,6 +16,7 @@ function of the accuracy alone, not of the interval budget.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -57,15 +59,26 @@ AGNOSTIC_SAMPLE_CONSTANT = 1.0
 # the Monte Carlo acceptance battery runs in seconds with margin to spare.
 COMPOSITION_LABEL_CONSTANT = 6.5e-3
 
-# A row of the interval kernel needing at least this many merges runs
-# vectorized rounds of safe merges before the heap loop takes the rest; a
-# row needing fewer takes the heap loop alone. Where the two paths break
-# even, measured on random rows on a 2-vCPU x86-64 host (Python 3.11,
-# numpy 2.4): near 256 merges for rows of about twice as many segments,
-# the shape of a block curve at stop 0 (0.65 ms each); near 60 merges for
-# rows of six times as many. Rows with fewer segments per merge pay the
-# rounds' fixed numpy cost for too little work.
-ROUNDS_MIN_MERGES = 256
+# A kernel call runs its merges as vectorized rounds over every row at once
+# when it needs at least this many merges per bit of its largest row's
+# merge count, about the number of rounds it takes; a call needing fewer
+# takes the heap loop row by row. Measured on a 2-vCPU x86-64 host (Python
+# 3.11, numpy 2.4), heap loop against rounds: one row of 400/1,200 random
+# points, stop 0 (106/303 merges), 179/572 us against 259/308 us; 10/20/53
+# union-da rows of 2 merges, 55/113/267 us against 78/86/107 us; 30 rows
+# of 20 points, stop 0 (156 merges), 270 against 215 us.
+ROUNDS_MIN_MERGES = 16
+
+# Rows are prepared in chunks of about this many points, so the sort and
+# segment temporaries of a call stay a few chunk-sized arrays however many
+# rows it holds. Each chunk costs about 30 us of fixed numpy work. Measured
+# on the same host, union-da (blocks of 53 rows of 300 points) in 25 s
+# perfbench runs, trial p50 and peak RSS against 2.84 ms and 48.1 MB before
+# chunking: 2048 points, 1.76 ms and 51.2 MB; 3072, 1.56 ms and 52.3 MB;
+# 8192, 1.37 ms and 54.5 MB. The trial's tracemalloc peak is the same at
+# each, about 900 KB: perfbench keeps every round, about 1 KB each, so its
+# peak RSS grows with the rounds a run fits, and 2048 keeps it within 10%.
+_CHUNK_POINTS = 2048
 
 
 class IntervalUnion:
@@ -126,7 +139,30 @@ class IntervalUnion:
         return cls(obj["intervals"])
 
 
-def _merge_curve(points, weights, labels, offsets, stop: int):
+class _Rows:
+    """The kernel's answer for every row, flat: row r's costs are
+    costs[cost_at[r]:cost_at[r + 1]] and its spans spans[span_at[r]:
+    span_at[r + 1]]. Iterating yields one (costs, spans) view per row."""
+
+    __slots__ = ("costs", "cost_at", "spans", "span_at")
+
+    def __init__(self, costs, cost_at, spans, span_at):
+        self.costs, self.cost_at, self.spans, self.span_at = costs, cost_at, spans, span_at
+
+    def __len__(self) -> int:
+        return self.cost_at.shape[0] - 1
+
+    def __iter__(self):
+        c, s = self.cost_at.tolist(), self.span_at.tolist()
+        for r in range(len(c) - 1):
+            yield self.costs[c[r] : c[r + 1]], self.spans[s[r] : s[r + 1]]
+
+    def at_stop(self) -> np.ndarray:
+        """Each row's cost at the stop, its last cost."""
+        return self.costs[self.cost_at[1:] - 1]
+
+
+def _merge_curve(points, weights, labels, offsets, stop: int) -> _Rows:
     """The one interval kernel: O(n log n) greedy segment merging, by rows.
 
     Row r, positions offsets[r] up to offsets[r + 1] of the flat arrays,
@@ -145,133 +181,301 @@ def _merge_curve(points, weights, labels, offsets, stop: int):
     exact base, never taken as W1 minus the covered weight, so distance
     zero reads exactly 0.0.
 
-    Equal-length rows sort in one 2-D argsort, ragged ones each on its own
-    slice, which gives each row the permutation it gets alone; the sort
-    need not be stable, as equal positions are summed before their order
-    is read. Tie grouping, segment split and segment sums run once over
-    all rows, row starts being forced cuts, so each row's result is the
-    one it gets alone. The merges run per row in :func:`_merge_row`:
-    vectorized rounds of safe merges for a row needing at least
-    ROUNDS_MIN_MERGES of them, the heap loop for a row needing fewer and
-    for what the rounds leave, and the same bits either way.
+    Rows are prepared in chunks of about _CHUNK_POINTS points
+    (:func:`_chunk_segments`), so the sort and segment temporaries stay
+    chunk-sized however many rows the call holds; only each row's
+    segments (value, first and last position) outlive its chunk. A pure
+    row is resolved there unsorted: with no 1 label it costs exactly
+    [0.0], and with every label 1 on positive weights it is one positive
+    segment, so at stop >= 1 it costs [0.0] with the span (min, max). The
+    merges then run for every row at once (:func:`_merge_rounds`): rounds
+    of safe merges with per-row keys and merges left, a row that hits its
+    round cap going on to the heap loop. A call needing fewer than
+    ROUNDS_MIN_MERGES merges per bit of its largest row's merge count takes
+    the heap loop row by row instead (:func:`_merge_heap`). Either way
+    every row gets the bits it gets alone and on the heap loop alone.
 
-    Returns one (costs, spans) per row: costs[j] is the cost at P - j
-    intervals for j = 0..P - min(stop, P); spans is a (min(stop, P), 2)
-    float array of the (first, last) positions of the live positive
-    segments at the stop, a union attaining costs[-1].
+    Returns a :class:`_Rows`: row r's costs[j] is its cost at P - j
+    intervals for j = 0..P - min(stop, P), and its spans a (min(stop, P),
+    2) float array of the (first, last) positions of the live positive
+    segments at the stop, a union attaining its last cost.
     """
     pts = np.asarray(points, dtype=float)
-    # lead[r] is row r's first position in the flat arrays
+    w = np.asarray(weights, dtype=float)
+    lab = np.asarray(labels)
     lead = np.asarray(offsets, dtype=np.intp)
-    rows, lens = lead.shape[0] - 1, np.diff(lead)
-    if rows and np.all(lens == lens[0]):
-        order = np.argsort(pts.reshape(rows, lens[0]), axis=1)
-        order += lead[:-1, None]
-        order = order.ravel()
+    rows = lead.shape[0] - 1
+    # chunks of about equal points, each at most _CHUNK_POINTS unless it is
+    # one longer row
+    total = int(lead[-1] - lead[0]) if rows else 0
+    bounds = [0, rows] if rows else [0]
+    if total > _CHUNK_POINTS:
+        count = -(-total // _CHUNK_POINTS)
+        cuts = np.searchsorted(lead, lead[0] + np.arange(1, count) * (total / count))
+        bounds = sorted({0, rows, *cuts.tolist()})
+    parts = [
+        _chunk_segments(
+            pts[lead[a] : lead[b]], w[lead[a] : lead[b]], lab[lead[a] : lead[b]],
+            lead[a : b + 1] - lead[a], stop, a,
+        )
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    if not parts:
+        empty = np.zeros(0)
+        parts = [(empty, np.zeros(0, dtype=np.intp), empty, empty, empty, None)]
+    if len(parts) == 1:
+        base, nseg, val, first, last, whole = parts[0]
     else:
-        order = np.arange(pts.shape[0])
-        for a, b in zip(lead[:-1].tolist(), lead[1:].tolist()):
-            if b - a > 1:
-                order[a:b] = np.argsort(pts[a:b]) + a
-    pts = pts[order]
-    w = np.asarray(weights, dtype=float)[order]
-    lab = np.asarray(labels)[order]
-    w0 = np.where(lab == 0, w, 0.0)
-    w1 = np.where(lab == 1, w, 0.0)
-    # a lone point carries one label, so only rows with repeated
-    # positions pay a base; the spare last cell takes the end rows' starts
-    base = np.zeros(rows)
-    new = np.ones(pts.shape[0] + 1, dtype=bool)
-    np.not_equal(pts[1:], pts[:-1], out=new[1:-1])
-    new[lead] = True
-    if not new.all():
-        first = np.flatnonzero(new[:-1])
-        pts, w0, w1 = pts[first], np.add.reduceat(w0, first), np.add.reduceat(w1, first)
-        grouped = np.searchsorted(first, lead)
+        base, nseg, val, first, last = (np.concatenate(x) for x in zip(*(p[:5] for p in parts)))
+        whole = [p[5] for p in parts if p[5] is not None]
+        whole = tuple(np.concatenate(x) for x in zip(*whole)) if whole else None
+    spans = [] if whole is None else [whole]
+    # trimmed rows alternate from a positive segment: P = (nseg + 1) // 2
+    merges = np.maximum((nseg + 1) // 2 - stop, 0)
+    moving = merges > 0
+    which = None if moving.all() else moving.nonzero()[0]
+    if which is not None and val.size:
+        seg_row = np.repeat(np.arange(rows), nseg)
+        mine = moving[seg_row]
+        # live positive segments of rows already within the stop
+        still = ~mine & (val > 0)
+        spans.append((seg_row[still], first[still], last[still]))
+        val, first, last, nseg = val[mine], first[mine], last[mine], nseg[which]
+    who = got = None
+    if nseg.size and (which is None or which.size):
+        if merges.sum() < ROUNDS_MIN_MERGES * int(merges.max()).bit_length():
+            # the heap pops each row's steps in order, rows in order
+            who, got, ends = _merge_heap_rows(val, first, last, nseg, stop)
+        else:
+            who, got, ends = _merge_rounds(val, first, last, nseg, stop)
+            if nseg.size == 1:
+                got = np.sort(got)
+            else:
+                order = np.lexsort((got, who))
+                who, got = who[order], got[order]
+        if which is not None:
+            who, ends = which[who], (which[ends[0]], *ends[1:])
+        spans.append(ends)
+    return _assemble(base, merges, who, got, spans)
+
+
+def _chunk_segments(p, w, lab, lead, stop: int, r0: int):
+    """Row preparation for :func:`_merge_curve` on one chunk: p, w, lab its
+    flat slices, lead its row offsets from 0, r0 its first row. Returns
+    each row's base and count of trimmed segments, those segments' values
+    and first and last positions in row order, and the (rows, first, last)
+    of the all-1 rows resolved whole, or None.
+
+    Only mixed rows are sorted. Equal-length ones sort in one 2-D argsort,
+    ragged ones each on its own slice, which gives each row the
+    permutation it gets alone; the sort need not be stable, as equal
+    positions are summed before their order is read. Without repeated
+    positions v is +-w straight from the labels: the sign of a zero
+    weight's v is not w1 - w0's, which can flip only the sign of a
+    zero-valued nonpositive segment and never its |value|, so no cost or
+    span reads it. w0 and w1 are built only where positions repeat. Tie
+    grouping, segment split and segment sums run once over the chunk, row
+    starts being forced cuts."""
+    rows = lead.shape[0] - 1
+    lens = lead[1:] - lead[:-1]
+    n = int(lens[0]) if rows == 1 or np.all(lens == lens[0]) else None
+    ones = _row_counts(lab == 1, lead, n)
+    mixed = ones > 0
+    whole = None
+    if stop >= 1:
+        full = mixed & (ones == lens)
+        if full.any():
+            full &= _row_counts(w > 0, lead, n) == lens
+            at = np.flatnonzero(full)
+            if at.size:
+                mixed &= ~full
+                filled = lead[:-1][lens > 0]
+                at_f = np.searchsorted(filled, lead[at])
+                lows, highs = np.minimum.reduceat(p, filled), np.maximum.reduceat(p, filled)
+                whole = at + r0, lows[at_f], highs[at_f]
+    base, nseg = np.zeros(rows), np.zeros(rows, dtype=np.intp)
+    sel = None if mixed.all() else mixed.nonzero()[0]
+    if sel is not None and not sel.size:
+        return base, nseg, np.zeros(0), np.zeros(0), np.zeros(0), whole
+    if n is not None:
+        grid = p.reshape(rows, n)
+        order = np.argsort(grid if sel is None else grid[sel], axis=1)
+        if rows > 1:
+            order += (n * (np.arange(rows) if sel is None else sel))[:, None]
+        order = order.ravel()
+        mlead = np.arange(0, order.shape[0] + 1, n)
+    else:
+        sel = np.arange(rows) if sel is None else sel
+        mlead = np.zeros(sel.shape[0] + 1, dtype=np.intp)
+        np.cumsum(lens[sel], out=mlead[1:])
+        order = np.empty(mlead[-1], dtype=np.intp)
+        for r, a, b in zip(sel.tolist(), mlead[:-1].tolist(), mlead[1:].tolist()):
+            order[a:b] = np.argsort(p[lead[r] : lead[r + 1]]) + lead[r]
+    ps = p[order]
+    new = np.empty(ps.shape[0] + 1, dtype=bool)
+    np.not_equal(ps[1:], ps[:-1], out=new[1:-1])
+    new[mlead] = True
+    if new.all():
+        v = lab[order].astype(float)
+        v *= 2.0
+        v -= 1.0
+        v *= w[order]
+    else:
+        # a lone point carries one label, so only rows with repeated
+        # positions pay a base; the spare last cell takes the end rows' starts
+        ws, ls = w[order], lab[order]
+        w0 = np.where(ls == 0, ws, 0.0)
+        w1 = np.where(ls == 1, ws, 0.0)
+        at = np.flatnonzero(new[:-1])
+        ps, w0, w1 = ps[at], np.add.reduceat(w0, at), np.add.reduceat(w1, at)
+        grouped = np.searchsorted(at, mlead)
         least = np.minimum(w0, w1)
-        for r in np.flatnonzero(np.diff(grouped) < lens):
-            base[r] = least[grouped[r] : grouped[r + 1]].sum()
-        lead = grouped
-    v = w1 - w0
+        mixed_rows = np.arange(rows) if sel is None else sel
+        for i in np.flatnonzero(np.diff(grouped) < np.diff(mlead)).tolist():
+            base[mixed_rows[i]] = least[grouped[i] : grouped[i + 1]].sum()
+        mlead = grouped
+        v = w1 - w0
     up = v > 0
-    cut = np.ones(v.shape[0] + 1, dtype=bool)
+    cut = np.empty(v.shape[0] + 1, dtype=bool)
     np.not_equal(up[1:], up[:-1], out=cut[1:-1])
-    cut[lead] = True
-    starts = np.flatnonzero(cut[:-1])
-    val = np.add.reduceat(v, starts)
-    # row r keeps segments a..b-1, its nonpositive ends dropped; they
-    # alternate from a positive one, so P = (b - a + 1) // 2 of them are
-    # positive. bound[j] is where segment j ends and the next begins.
-    seg = np.searchsorted(starts, lead).tolist()
-    pos = up[starts].tolist()
-    bound = np.append(starts, v.shape[0])
-    out = []
-    for r in range(rows):
-        a, b = seg[r], seg[r + 1]
-        if a < b:
-            a, b = a + (not pos[a]), b - (not pos[b - 1])
-        out.append(_merge_row(pts, val[a:b], bound[a : b + 1], base[r], stop))
+    cut[mlead] = True
+    starts = cut[:-1].nonzero()[0]
+    val, first, last = np.add.reduceat(v, starts), ps[starts], ps[cut[1:].nonzero()[0]]
+    # drop each row's nonpositive end segments; a row of one nonpositive
+    # segment drops it once and counts it twice, hence the clip at 0
+    if mlead.shape[0] == 2:
+        head, tail = int(not up[0]), int(not up[-1])
+        count = max(starts.shape[0] - head - tail, 0)
+        val, first, last = (x[head : head + count] for x in (val, first, last))
+    else:
+        seg = np.searchsorted(starts, mlead)
+        head, tail = ~up[mlead[:-1]], ~up[mlead[1:] - 1]
+        count = np.diff(seg)
+        if (head | tail).any():
+            count -= head
+            count -= tail
+            np.maximum(count, 0, out=count)
+            keep = np.ones(starts.shape[0], dtype=bool)
+            keep[seg[:-1][head]] = False
+            keep[seg[1:][tail] - 1] = False
+            val, first, last = val[keep], first[keep], last[keep]
+    if sel is None:
+        nseg[:] = count
+    else:
+        nseg[sel] = count
+    return base, nseg, val, first, last, whole
+
+
+def _row_counts(mask, lead, n) -> np.ndarray:
+    """True entries of a flat mask in each row, all n long unless n is None."""
+    if lead.shape[0] == 2:
+        return np.array([np.count_nonzero(mask)])
+    if n is not None:
+        return np.count_nonzero(mask.reshape(lead.shape[0] - 1, n), axis=1)
+    total = np.zeros(mask.shape[0] + 1, dtype=np.intp)
+    np.cumsum(mask, out=total[1:])
+    return total[lead[1:]] - total[lead[:-1]]
+
+
+def _assemble(base, merges, who, got, spans) -> _Rows:
+    """Flat costs and spans from each row's base and merge count, every
+    merge's row and step, sorted by row and step, and the (rows, first,
+    last) of every live positive segment at the stop, in line order within
+    a row. Sorted steps are the heap's pop order, equal steps being equal
+    values, and each row accumulates upward from its base one step at a
+    time, as np.add.accumulate does on the row alone."""
+    rows = base.shape[0]
+    if len(spans) == 1:
+        owner, first, last = spans[0]
+    elif spans:
+        owner, first, last = (np.concatenate(x) for x in zip(*spans))
+    else:
+        owner, first, last = np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
+    if rows == 1:
+        costs = base if who is None else np.concatenate((base, got))
+        np.add.accumulate(costs, out=costs)
+        cost_at, span_at = np.array([0, costs.shape[0]]), np.array([0, first.shape[0]])
+        return _Rows(costs, cost_at, _pairs(first, last), span_at)
+    if who is None:
+        costs, cost_at = base, np.arange(rows + 1)
+    else:
+        cost_at = np.zeros(rows + 1, dtype=np.intp)
+        np.cumsum(merges + 1, out=cost_at[1:])
+        costs = np.empty(cost_at[-1])
+        costs[cost_at[:-1]] = base
+        # the i-th step follows the bases of rows 0..who[i]
+        costs[np.arange(got.shape[0]) + who + 1] = got
+        long = np.flatnonzero(merges)
+        size = merges[long] + 1
+        # rows of like length accumulate together, padded with zeros
+        band = np.frexp(size.astype(float))[1]
+        for b in sorted(set(band.tolist())):
+            r, n = long[band == b], size[band == b]
+            cols = np.arange(int(n.max()))
+            ok = cols < n[:, None]
+            at = cost_at[r][:, None] + np.where(ok, cols, 0)
+            costs[at[ok]] = np.add.accumulate(np.where(ok, costs[at], 0.0), axis=1)[ok]
+    order = np.argsort(owner, kind="stable")
+    span_at = np.zeros(rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=rows), out=span_at[1:])
+    return _Rows(costs, cost_at, _pairs(first[order], last[order]), span_at)
+
+
+def _pairs(first, last) -> np.ndarray:
+    out = np.empty((first.shape[0], 2))
+    out[:, 0], out[:, 1] = first, last
     return out
 
 
-def _merge_row(pts, val, lo, base: float, stop: int):
-    """One row of :func:`_merge_curve`: val are the row's segment values
-    between its nonpositive ends, lo their first positions plus the
-    position past the last; merges until `stop` positive segments are
-    live. Returns (costs, spans).
-
-    The heap loop of :func:`_merge_heap` pops the live segment of least
-    key (|v|, index). A row needing at least ROUNDS_MIN_MERGES merges
-    first runs :func:`_merge_rounds`, which merges in rounds, each at once,
-    the segments the heap would merge with the same neighbours. A live
-    segment x is safe when its key is below those of its two neighbours
-    and of the two segments beyond them. A merged segment's |v| is at
-    least that of each segment it absorbs, and of two equal |v| the left
-    one pops first, so nothing the heap pops before x can absorb a
-    neighbour of x: merging x early computes the same (left + x) + right
-    and commutes with every earlier pop. No two safe segments share a
-    neighbour, and the least key is always safe. With rem merges left, x
-    is among the heap's if fewer than rem live keys lie below its own, as
-    each pop below it removes at least one of them.
-
-    The heap loop takes a row needing fewer merges, and whatever merges
-    the rounds leave when a row needs more rounds than the cap, as when
-    its |v| rise along the line. The heap pops steps in non-decreasing
-    order, so sorting the popped |v| of both restores its order, equal
-    steps being equal values, and the costs accumulate bit for bit as
-    from the heap loop alone.
-    """
-    k = (val.shape[0] + 1) // 2
-    if k == 0:
-        # no positive segment, such as an all-0 row: the base alone
-        return np.array([base]), np.zeros((0, 2))
-    if k - stop < ROUNDS_MIN_MERGES:
-        val, lo = [-math.inf] + val.tolist() + [-math.inf], [0] + lo.tolist()
-        steps, spans = _merge_heap(pts, val, lo, stop)
-        return np.add.accumulate([base] + steps), spans
-    val, lo, steps = _merge_rounds(val, lo, k - stop)
-    if k - steps.shape[0] > stop:
-        tail, spans = _merge_heap(pts, val[1:-1].tolist(), lo[1:-1].tolist(), stop)
-        steps = np.append(steps, tail)
-    else:
-        live = np.flatnonzero(val > 0)
-        spans = np.column_stack((pts[lo[live]], pts[lo[live + 1] - 1]))
-    return np.add.accumulate(np.append(base, np.sort(steps))), spans
+def _merge_heap_rows(val, first, last, nseg, stop: int, seeded: bool = False):
+    """The heap loop of :func:`_merge_heap` row by row: val, first and last
+    are the rows' segments back to back, nseg their counts. A seeded row's
+    heap starts from its keys up to the 3*rem-th smallest, ties included
+    (:func:`_merge_rounds` seeds the rows it leaves at their cap). Returns
+    every pop's (rows, steps) and the (rows, first, last) of the spans."""
+    lead = [0, *itertools.accumulate(nseg.tolist())]
+    keys = np.abs(val) if seeded else None
+    val, first, last = val.tolist(), first.tolist(), last.tolist()
+    who, got, owner, ends = [], [], [], []
+    for r in range(nseg.shape[0]):
+        a, b = lead[r], lead[r + 1]
+        seeds, cut = None, 3 * ((b - a + 1) // 2 - stop)
+        if seeded and cut < b - a:
+            t = np.partition(keys[a:b], cut - 1)[cut - 1]
+            seeds = (np.flatnonzero(keys[a:b] <= t) + 1).tolist()
+        pops, spans = _merge_heap(
+            [-math.inf] + val[a:b] + [-math.inf],
+            [0.0] + first[a:b] + [0.0],
+            [0.0] + last[a:b] + [0.0],
+            stop,
+            seeds,
+        )
+        who += [r] * len(pops)
+        got += pops
+        owner += [r] * len(spans)
+        ends += spans
+    ends = np.array(ends, dtype=float).reshape(-1, 2)
+    owner = np.array(owner, dtype=np.intp)
+    return np.array(who, dtype=np.intp), np.array(got, dtype=float), (owner, ends[:, 0], ends[:, 1])
 
 
-def _merge_heap(pts, val, lo, stop: int):
-    """Heap loop of :func:`_merge_row` over lists: val are the live
-    segments' values between -inf sentinels and lo their first positions,
-    the sentinels' included. Returns the popped |value| steps in pop
-    order and the spans."""
+def _merge_heap(val, first, last, stop: int, seeds):
+    """Heap loop over lists: val are the live segments' values between
+    -inf sentinels, first and last their end positions, the sentinels'
+    included; the heap starts from the segments at indices `seeds`, or
+    all of them when None. Pops the live segment of least key (|v|, index)
+    until `stop` positive segments are live. Returns the popped |value|
+    steps in pop order and the (first, last) of each live positive
+    segment."""
     # segments 1..segs between the sentinels in a doubly linked list whose
     # spare last cell takes the writes past either end; a merge keeps the
-    # middle index, so index order stays line order and a span ends where
-    # the next live segment starts
+    # middle index, so index order stays line order
     segs = len(val) - 2
     prev, nxt = list(range(-1, segs + 2)), list(range(1, segs + 4))
     alive = [True] * (segs + 2)
-    heap = [(abs(x), i) for i, x in enumerate(val[1:-1], 1)]
+    if seeds is None:
+        seeds = range(1, segs + 1)
+    heap = [(abs(val[i]), i) for i in seeds]
     heapq.heapify(heap)
     k, steps = (segs + 1) // 2, []
     while k > stop:
@@ -281,59 +485,134 @@ def _merge_heap(pts, val, lo, stop: int):
         left, right = prev[i], nxt[i]
         alive[left] = alive[right] = False
         val[i] = val[left] + val[i] + val[right]
-        lo[i], prev[i], nxt[i] = lo[left], prev[left], nxt[right]
+        first[i], last[i] = first[left], last[right]
+        prev[i], nxt[i] = prev[left], nxt[right]
         nxt[prev[i]] = prev[nxt[i]] = i
         if val[i] > -math.inf:
             heapq.heappush(heap, (abs(val[i]), i))
         steps.append(step)
         k -= 1
-    ends = [
-        p
-        for i in range(1, segs + 1)
-        if alive[i] and val[i] > 0
-        for p in (lo[i], lo[nxt[i]] - 1)
-    ]
-    return steps, pts.take(ends).reshape(-1, 2)
+    spans = [(first[i], last[i]) for i in range(1, segs + 1) if alive[i] and val[i] > 0]
+    return steps, spans
 
 
-def _merge_rounds(val, lo, rem: int):
-    """Rounds of safe merges for :func:`_merge_row`, until `rem` merges
-    are done or for twice as many rounds as `rem` has bits, which keeps a
-    row that merges one segment a round at O(n log n). Each round merges
-    every safe segment whose key is among the rem smallest live ones, the
-    rem-th found by one partition, ties going by index. Returns the live
-    segments' values and first positions between double sentinels, the
-    sentinels' included, and the popped |value| of each merge.
+def _merge_rounds(val, first, last, nseg, stop: int):
+    """Rounds of safe merges over every row at once, for
+    :func:`_merge_curve`; arguments and returns as :func:`_merge_heap_rows`.
+
+    The heap loop pops the live segment of least key (|v|, index). Each
+    round merges at once, in every row, the segments the heap would merge
+    with the same neighbours. A live segment x is safe when its key is
+    below those of its two neighbours and of the two segments beyond them.
+    A merged segment's |v| is at least that of each segment it absorbs,
+    and of two equal |v| the left one pops first, so nothing the heap pops
+    before x can absorb a neighbour of x: merging x early computes the
+    same (left + x) + right and commutes with every earlier pop. No two
+    safe segments share a neighbour, and a row's least key is always
+    safe. With rem merges left in its row, x is among the heap's if fewer
+    than rem live keys of its row lie below its own, as each pop below it
+    removes at least one of them: its rank in the row, ties by index, is
+    below rem. One row reads its rem-th key off one partition, counting
+    ties by index only when more keys tie it than it has places left; many
+    rows rank every slot in one lexsort by (row, key).
+
+    A row merges until its merges are done or for twice as many rounds as
+    its rem has bits, which keeps a row that merges one segment a round,
+    as when its |v| rise along the line, at O(n log n); the heap loop then
+    takes what it has left. The heap pops steps in non-decreasing order,
+    so the sorted steps of both are its order. A segment the heap pops
+    within rem pops has fewer than 3*rem live keys below its own, as each
+    pop removes at most three live segments, so the tail's heap starts
+    from the live keys up to the 3*rem-th smallest, ties included.
     """
-    # two sentinels a side stand in for the segments beyond the ends; the
-    # inner ones absorb a given-up end segment, whose merge reads -inf
-    val = np.concatenate(([-math.inf] * 2, val, [-math.inf] * 2))
-    lo = np.concatenate(([0, 0], lo, lo[-1:]))
-    steps = []
-    for _ in range(2 * rem.bit_length()):
-        key = np.abs(val)
+    rows = nseg.shape[0]
+    rem = (nseg + 1) // 2 - stop
+    cap = 2 * np.frexp(rem.astype(float))[1]
+    # slots: two leading -inf sentinels, then each row's segments and two
+    # -inf sentinels of its own; a merge keeps the middle slot and drops
+    # both neighbours, so -inf slots stay two deep between rows. lo is the
+    # first segment a slot covers, so live slot x covers segments lo[x] up
+    # to lo[x + 1] - 1; a row's sentinels and a -inf merged slot hold where
+    # the live segments before them end.
+    owner = np.repeat(np.arange(rows), nseg + 2)
+    at = np.arange(owner.shape[0]) - 2 * owner
+    end = np.cumsum(nseg)[owner]
+    V = np.full(owner.shape[0] + 2, -math.inf)
+    V[2:][at < end] = val
+    lo = np.zeros(V.shape[0], dtype=np.intp)
+    np.minimum(at, end, out=lo[2:])
+    # one row keeps its merges left in q; many keep them per row in quota,
+    # a row's quota dropping to 0 at its cap, and rank by row in rid
+    rid = np.concatenate(([0, 0], owner)) if rows > 1 else None
+    q, quota, rounds, who, got = int(rem[0]), rem.copy(), 0, [], []
+    while True:
+        key = np.abs(V)
+        pair = np.minimum(key[:-1], key[1:])
         mid = key[2:-2]
-        # below the left keys and not above the right ones: of equal |v|
-        # the left one has the smaller key
-        i = np.flatnonzero(
-            (mid < np.minimum(key[1:-3], key[:-4])) & (mid <= np.minimum(key[3:-1], key[4:]))
-        )
-        if rem < mid.shape[0]:
-            kth = np.partition(mid, rem - 1)[rem - 1]
-            quota = rem - np.count_nonzero(mid < kth)
-            ki = mid[i]
-            i = i[(ki < kth) | ((ki == kth) & (np.cumsum(mid == kth)[i] <= quota))]
-        steps.append(mid[i])
-        i += 2
-        val[i] = (val[i - 1] + val[i]) + val[i + 1]
-        lo[i] = lo[i - 1]
-        keep = np.ones(val.shape[0], dtype=bool)
-        keep[i - 1] = keep[i + 1] = False
-        val, lo = val[keep], lo[keep]
-        rem -= i.shape[0]
-        if rem == 0:
+        j = ((mid < pair[:-3]) & (mid <= pair[3:])).nonzero()[0] + 2
+        if rid is None:
+            # mid is the row's live segments
+            if q < mid.shape[0]:
+                part = np.partition(mid, q - 1)
+                kth, kj = part[q - 1], key[j]
+                tied = kj == kth
+                if not tied.any():
+                    j = j[kj < kth]
+                elif not np.any(part[q:] == kth):
+                    j = j[kj <= kth]
+                else:
+                    # more keys tie the q-th than it has places left: the
+                    # leftmost ones, by index
+                    places = q - np.count_nonzero(part[: q - 1] < kth)
+                    last_tie = np.flatnonzero(mid == kth)[places - 1] + 2
+                    j = j[(kj < kth) | (tied & (j <= last_tie))]
+            q -= j.shape[0]
+        else:
+            o = np.lexsort((key, rid))
+            rank = np.empty(o.shape[0], dtype=np.intp)
+            rank[o] = np.arange(o.shape[0])
+            rj = rid[j]
+            ok = rank[j] - np.searchsorted(rid, rj) < quota[rj]
+            j, rj = j[ok], rj[ok]
+            who.append(rj)
+            quota -= np.bincount(rj, minlength=rows)
+        got.append(key[j])
+        V[j] = (V[j - 1] + V[j]) + V[j + 1]
+        lo[j] = lo[j - 1]
+        keep = np.ones(V.shape[0], dtype=bool)
+        keep[j - 1] = keep[j + 1] = False
+        V, lo = V[keep], lo[keep]
+        rounds += 1
+        if rid is None:
+            if q == 0 or rounds == cap[0]:
+                break
+            continue
+        rid = rid[keep]
+        quota[cap == rounds] = 0
+        if not quota.any():
             break
-    return val, lo, np.concatenate(steps)
+    got = np.concatenate(got)
+    if rid is None:
+        who, rem[0], rid = [np.zeros(got.shape[0], dtype=np.intp)], q, np.zeros_like(lo)
+    else:
+        rem -= np.bincount(np.concatenate(who), minlength=rows)
+    # the live positive segments of the rows done are their spans
+    x = np.flatnonzero(V > 0)
+    x = x[rem[rid[x]] == 0]
+    ends = [(rid[x], first[lo[x]], last[lo[x + 1] - 1])]
+    capped = rem > 0
+    if capped.any():
+        # the heap loop takes the live segments of the rows left at their cap
+        x = np.flatnonzero((V > -math.inf) & capped[rid])
+        which = np.flatnonzero(capped)
+        counts = np.bincount(rid[x], minlength=rows)[which]
+        tail_who, tail_got, tail = _merge_heap_rows(
+            V[x], first[lo[x]], last[lo[x + 1] - 1], counts, stop, True
+        )
+        who.append(which[tail_who])
+        got = np.concatenate((got, tail_got))
+        ends.append((which[tail[0]], *tail[1:]))
+    return np.concatenate(who), got, tuple(np.concatenate(e) for e in zip(*ends))
 
 
 def interval_error_curve(points, weights, labels, kmax: int) -> np.ndarray:
@@ -373,12 +652,11 @@ def interval_block_spec(m: int) -> CompositionSpec:
     block's curve, cut where the one with most positive segments goes flat."""
 
     def curves(s, edges, kmax):
-        # costs[i][k] is block i's cost at k = 0..P_i intervals
-        costs = [c[::-1] for c, _ in _merge_curve(s.points, s.weights, s.labels, edges, 0)]
-        lens = np.array([c.shape[0] for c in costs])
+        # block i's cost at k intervals is its flat cost at P_i - k
+        out = _merge_curve(s.points, s.weights, s.labels, edges, 0)
+        lens = np.diff(out.cost_at)
         k = np.arange(min(kmax + 1, lens.max()))
-        first = np.cumsum(lens) - lens
-        return np.concatenate(costs)[first[:, None] + np.minimum(k, lens[:, None] - 1)]
+        return out.costs[out.cost_at[1:, None] - 1 - np.minimum(k, lens[:, None] - 1)]
 
     return CompositionSpec(m, curves, block_of=lambda pts: uniform_block_index(pts, m))
 

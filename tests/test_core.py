@@ -17,7 +17,6 @@ from activetest import (
     TargetFunction,
     WeightedSample,
     chernoff_iterations,
-    empirical_distance,
     median_repetitions,
     relative_entropy,
 )
@@ -162,18 +161,6 @@ class TestWeightedSample:
     def test_empty_uniform(self):
         s = WeightedSample.uniform(np.zeros(0))
         assert len(s) == 0
-
-
-class TestEmpiricalDistance:
-    def test_weighted_disagreement(self):
-        s = WeightedSample(np.arange(4.0), np.array([0.1, 0.2, 0.3, 0.4]))
-        assert empirical_distance(s, [0, 1, 0, 1], [0, 1, 1, 0]) == pytest.approx(0.7)
-        assert empirical_distance(s, [1, 1, 0, 0], [1, 1, 0, 0]) == 0.0
-
-    def test_length_mismatch(self):
-        s = WeightedSample.uniform(np.zeros(3))
-        with pytest.raises(ValueError, match="domain mismatch"):
-            empirical_distance(s, [0, 1], [1, 0])
 
 
 class TestDistribution:

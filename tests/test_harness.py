@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, make_dataclass, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from activetest import (
 )
 from activetest.cli import _trial_config, build_parser, main
 import activetest
-from activetest import harness, star_instance_from_json
+from activetest import harness, intervals, star_instance_from_json
 from activetest.bandit import _StarSpace
 from activetest.harness import (
     _REGISTRY,
@@ -178,6 +179,38 @@ class TestLabelBills:
         11: ["0x1.7dcc2876d3217p-3", "0x1.73fca72fda630p-3"],
         29: ["0x1.776e665d554c4p-3", "0x1.83511189f5182p-3"],
     }
+
+    def test_union_da_trial_work_guard(self, monkeypatch):
+        # Work guard, no timing: one bundled union-da trial after a warm-up
+        # peaks at about 900 KB under tracemalloc, where gathering each
+        # block pool twice, labeling through an index copy and preparing a
+        # block's rows at once peaked at 2,774 KB. It labels each drawn
+        # block in one call and merges every row in vectorized rounds, the
+        # heap loop taking none.
+        bundle = _build_union_da(0.1, {}, np.random.default_rng(0))
+        bundle.run_trial(np.random.default_rng(1))
+        heaps, labels = [], []
+        heap, query_many = intervals._merge_heap, LabelOracle.query_many
+        monkeypatch.setattr(intervals, "_merge_heap", lambda *a: heaps.append(1) or heap(*a))
+        monkeypatch.setattr(
+            LabelOracle,
+            "query_many",
+            lambda self, pts: labels.append(len(pts)) or query_many(self, pts),
+        )
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            bundle.run_trial(np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1600 * 1024, peak
+        assert heaps == []
+        assert labels == [15900, 15900]
 
     @pytest.mark.parametrize("seed", sorted(_UNION_DA_OUTPUTS))
     def test_union_da_seeded_outputs_pinned(self, seed):

@@ -334,11 +334,18 @@ def _row_batches(draw):
 @st.composite
 def _ragged_batches(draw):
     """Rows of 0 to 9 points each, empty rows among them, on one small
-    lattice with mixed labels and uneven weights, zeros included."""
+    lattice with uneven weights, zeros included; mixed, all-0 and all-1
+    rows, the kernel resolving the pure ones without a sort."""
     lens = draw(st.lists(st.integers(0, 9), min_size=1, max_size=7))
     n, lattice = sum(lens), draw(st.integers(1, 12))
     pts = draw(st.lists(st.integers(0, lattice - 1), min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels = []
+    for m in lens:
+        kind = draw(st.sampled_from(["mixed", "zeros", "ones"]))
+        if kind == "mixed":
+            labels += draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        else:
+            labels += [int(kind == "ones")] * m
     weights = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
     offsets = np.concatenate(([0], np.cumsum(lens))).astype(int)
     stop = draw(st.integers(0, 5))
@@ -450,6 +457,53 @@ class TestRowKernel:
     def test_rounds_match_heap_loop_bit_for_bit(self, batch):
         self._paths_agree(*batch)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_ragged_batches())
+    def test_ragged_rounds_match_heap_loop_bit_for_bit(self, batch):
+        self._paths_agree(*batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ragged_batches(), st.integers(1, 12))
+    def test_chunks_do_not_change_a_bit(self, batch, chunk):
+        # rows are prepared in chunks of about _CHUNK_POINTS points; any
+        # cut between rows gives every row the bits it gets in one chunk
+        whole = _merge_curve(*batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "_CHUNK_POINTS", chunk)
+            chunked = _merge_curve(*batch)
+        assert self._bits(chunked) == self._bits(whole)
+
+    def test_pure_rows_are_not_sorted(self, monkeypatch):
+        # an all-0 row costs exactly [0.0] and an all-1 row on positive
+        # weights is one span at stop >= 1, both read without a sort
+        rng = np.random.default_rng(17)
+        pts = rng.random((4, 50))
+        labels = np.array([[0] * 50, [1] * 50, [0] * 50, [1] * 50], dtype=np.int8)
+        weights = np.full(pts.shape, 0.02)
+        sorted_shapes, argsort = [], np.argsort
+        monkeypatch.setattr(
+            np,
+            "argsort",
+            lambda a, *r, **k: sorted_shapes.append(np.shape(a)) or argsort(a, *r, **k),
+        )
+        out = _merge_curve(*_grid_rows(pts, weights, labels), 2)
+        assert all(50 not in shape for shape in sorted_shapes)
+        assert [c.tolist() for c, _ in out] == [[0.0]] * 4
+        spans = [s.tolist() for _, s in out]
+        assert spans[::2] == [[], []]
+        assert spans[1::2] == [[[p.min(), p.max()]] for p in pts[1::2]]
+
+    def test_zero_weight_splits_an_all_one_row(self):
+        # a zero weight is a nonpositive segment, so this all-1 row is two
+        # positive segments, not one pure span
+        pts = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        weights = np.array([0.25, 0.25, 0.0, 0.25, 0.25])
+        labels = np.ones(5, dtype=np.int8)
+        cases = [(2, [0.0], [[0.1, 0.2], [0.4, 0.5]]), (1, [0.0, 0.0], [[0.1, 0.5]])]
+        for stop, costs, spans in cases:
+            ((c, s),) = _merge_curve(pts, weights, labels, [0, 5], stop)
+            assert (c.tolist(), s.tolist()) == (costs, spans)
+
     @pytest.mark.parametrize(
         "rows, n, stop, uniform",
         [(1, 16_095, 2000, True), (1, 16_095, 2000, False), (8, 3000, 10, False)],
@@ -477,6 +531,22 @@ class TestRowKernel:
         labels = (np.arange(n) % 2 == 0).astype(np.int8)[None]
         weights = (1.0 + np.arange(n) / n)[None] / n
         assert self._paths_agree(*_grid_rows(pts, weights, labels), 0) == 1
+
+    def test_tied_row_hands_its_tail_to_the_heap(self):
+        # alternating labels on equal weights: every |v| ties, one segment
+        # is safe a round, and the tail's heap, seeded with far fewer keys
+        # than the row has, must start from every key tied with its
+        # 3*rem-th smallest
+        n = 2001
+        pts = np.arange(n, dtype=float)[None] / n
+        labels = (np.arange(n) % 2 == 0).astype(np.int8)[None]
+        weights = np.full((1, n), 1.0 / n)
+        assert self._paths_agree(*_grid_rows(pts, weights, labels), 900) == 1
+        # the same rows among others in one call: each hands its own tail
+        noisy = np.random.default_rng(18).random((1, n)) < 0.5
+        rows = np.concatenate((labels, noisy, labels)).astype(np.int8)
+        batch = _grid_rows(np.repeat(pts, 3, axis=0), np.repeat(weights, 3, axis=0), rows)
+        assert self._paths_agree(*batch, 900) == 2
 
 
 class TestBlockSpec:
