@@ -50,6 +50,11 @@ def as_generator(seed: int | None | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _is_int(v) -> bool:
+    # An integer that is not a bool: True must not pass for 1.
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
     """Derive `count` independent child seed sequences from one master seed."""
     return np.random.SeedSequence(seed).spawn(count)
@@ -209,7 +214,8 @@ class Receipt:
 
 @dataclass
 class WeightedSample:
-    """Points with nonnegative weights (a finite measure) and optional labels.
+    """Points with nonnegative weights (a finite measure) and optional labels;
+    a NaN point or weight is rejected.
 
     Duplicated points stay distinct atoms; weights are expected to sum to 1
     (within 1e-9) wherever a sample stands in for a distribution.
@@ -228,7 +234,10 @@ class WeightedSample:
             raise ValueError("domain mismatch")
         if self.labels is not None and self.labels.shape[0] != self.points.shape[0]:
             raise ValueError("domain mismatch")
-        if np.any(self.weights < 0):
+        # a NaN weight fails the comparison, a NaN point propagates to the min
+        if self.weights.size and not self.weights.min() >= 0:
+            raise ValueError("invalid parameter")
+        if self.points.dtype.kind == "f" and self.points.size and np.isnan(self.points.min()):
             raise ValueError("invalid parameter")
 
     def __len__(self) -> int:

@@ -286,25 +286,37 @@ def noisy_interval_target(d: int, flips: bool = True) -> TargetFunction:
         raise ValueError("invalid class parameter")
 
     def many(points):
-        frac = np.asarray(points, dtype=float) * d
-        frac = frac - np.floor(frac)
-        ones = (0.05 <= frac) & (frac < 0.40)
+        frac = np.array(points, dtype=float)
+        frac *= d
+        # the fraction in place, floor taken a block at a time: labeling
+        # makes no second point-sized float array
+        flat = frac.reshape(-1)
+        for a in range(0, flat.shape[0], 4096):
+            part = flat[a : a + 4096]
+            part -= np.floor(part)
+        ones = frac >= 0.05
+        ones &= frac < 0.40
         if flips:
-            ones |= (0.65 <= frac) & (frac < 0.80)
-        return ones.astype(np.int8)
+            band = frac >= 0.65
+            band &= frac < 0.80
+            ones |= band
+        return ones.view(np.int8)
 
     return TargetFunction.from_callable(lambda x: int(many([x])[0]), many)
 
 
 def grid_interval_sample(target: TargetFunction, grid_points: int = 100_000) -> WeightedSample:
     """Uniform [0,1) discretized to cell midpoints with equal weights;
-    exact for targets constant on every cell."""
+    exact for targets constant on every cell. The weights are one
+    read-only broadcast of 1/grid_points, so writing into
+    ``sample.weights`` raises."""
     if grid_points < 1:
         raise ValueError("invalid parameter")
-    mids = (np.arange(grid_points) + 0.5) / grid_points
-    return WeightedSample(
-        mids, np.full(grid_points, 1.0 / grid_points), target.eval_many(mids)
-    )
+    mids = np.arange(grid_points, dtype=float)
+    mids += 0.5
+    mids /= grid_points
+    weights = np.broadcast_to(1.0 / grid_points, mids.shape)
+    return WeightedSample(mids, weights, target.eval_many(mids))
 
 
 # In-block geometry of the composition benchmark, in fractions of a block:

@@ -35,6 +35,7 @@ from .core import (
     Receipt,
     TargetFunction,
     WeightedSample,
+    _is_int,
 )
 
 __all__ = [
@@ -89,7 +90,8 @@ class IntervalUnion:
             intervals = list(intervals)
         arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
         if arr.size:
-            if np.any(arr[:, 0] > arr[:, 1]):
+            # a NaN end fails the comparison
+            if not np.all(arr[:, 0] <= arr[:, 1]):
                 raise ValueError("invalid class parameter")
             order = np.argsort(arr[:, 0], kind="stable")
             arr = arr[order]
@@ -187,10 +189,11 @@ def _merge_curve(points, weights, labels, offsets, stop: int) -> _Rows:
     segments (value, first and last position) outlive its chunk. A pure
     row is resolved there unsorted: with no 1 label it costs exactly
     [0.0], and with every label 1 on positive weights it is one positive
-    segment, so at stop >= 1 it costs [0.0] with the span (min, max). The
-    merges then run for every row at once (:func:`_merge_rounds`): rounds
-    of safe merges with per-row keys and merges left, a row that hits its
-    round cap going on to the heap loop. A call needing fewer than
+    segment, so at stop >= 1 it costs [0.0] with the span (min, max). A
+    chunk of one row whose positions strictly increase is not sorted
+    either. The merges then run for every row at once
+    (:func:`_merge_rounds`): rounds of safe merges with per-row keys and
+    merges left, a row that hits its round cap going on to the heap loop. A call needing fewer than
     ROUNDS_MIN_MERGES merges per bit of its largest row's merge count takes
     the heap loop row by row instead (:func:`_merge_heap`). Either way
     every row gets the bits it gets alone and on the heap loop alone.
@@ -266,10 +269,12 @@ def _chunk_segments(p, w, lab, lead, stop: int, r0: int):
     and first and last positions in row order, and the (rows, first, last)
     of the all-1 rows resolved whole, or None.
 
-    Only mixed rows are sorted. Equal-length ones sort in one 2-D argsort,
-    ragged ones each on its own slice, which gives each row the
-    permutation it gets alone; the sort need not be stable, as equal
-    positions are summed before their order is read. Without repeated
+    Only mixed rows are sorted. A one-row chunk whose positions strictly
+    increase, such as a grid, is its own order: no sort and no gathers,
+    the argsort it skips being the identity. Equal-length mixed rows sort
+    in one 2-D argsort, ragged ones each on its own slice, which gives
+    each row the permutation it gets alone; the sort need not be stable,
+    as equal positions are summed before their order is read. Without repeated
     positions v is +-w straight from the labels: the sign of a zero
     weight's v is not w1 - w0's, which can flip only the sign of a
     zero-valued nonpositive segment and never its |value|, so no cost or
@@ -297,7 +302,11 @@ def _chunk_segments(p, w, lab, lead, stop: int, r0: int):
     sel = None if mixed.all() else mixed.nonzero()[0]
     if sel is not None and not sel.size:
         return base, nseg, np.zeros(0), np.zeros(0), np.zeros(0), whole
-    if n is not None:
+    if rows == 1 and np.all(p[1:] > p[:-1]):
+        # strictly increasing, which a NaN never is: the row is its own
+        # order, its positions distinct
+        order, mlead = None, np.array([0, p.shape[0]])
+    elif n is not None:
         grid = p.reshape(rows, n)
         order = np.argsort(grid if sel is None else grid[sel], axis=1)
         if rows > 1:
@@ -311,19 +320,22 @@ def _chunk_segments(p, w, lab, lead, stop: int, r0: int):
         order = np.empty(mlead[-1], dtype=np.intp)
         for r, a, b in zip(sel.tolist(), mlead[:-1].tolist(), mlead[1:].tolist()):
             order[a:b] = np.argsort(p[lead[r] : lead[r + 1]]) + lead[r]
-    ps = p[order]
-    new = np.empty(ps.shape[0] + 1, dtype=bool)
-    np.not_equal(ps[1:], ps[:-1], out=new[1:-1])
-    new[mlead] = True
-    if new.all():
-        v = lab[order].astype(float)
+    if order is None:
+        ps, ls, ws, distinct = p, lab, w, True
+    else:
+        ps, ls, ws = p[order], lab[order], w[order]
+        new = np.empty(ps.shape[0] + 1, dtype=bool)
+        np.not_equal(ps[1:], ps[:-1], out=new[1:-1])
+        new[mlead] = True
+        distinct = new.all()
+    if distinct:
+        v = ls.astype(float)
         v *= 2.0
         v -= 1.0
-        v *= w[order]
+        v *= ws
     else:
         # a lone point carries one label, so only rows with repeated
         # positions pay a base; the spare last cell takes the end rows' starts
-        ws, ls = w[order], lab[order]
         w0 = np.where(ls == 0, ws, 0.0)
         w1 = np.where(ls == 1, ws, 0.0)
         at = np.flatnonzero(new[:-1])
@@ -619,9 +631,12 @@ def interval_error_curve(points, weights, labels, kmax: int) -> np.ndarray:
     """Minimum disagreement weight against a union of at most k intervals,
     for every k = 0..kmax in one merge pass, O(n log n); flat past the
     number P of positive segments."""
-    if kmax < 0:
+    if not _is_int(kmax) or kmax < 0:
         raise ValueError("invalid class parameter")
-    ((costs, _),) = _merge_curve(points, weights, labels, [0, len(points)], 0)
+    pts = np.asarray(points, dtype=float)
+    if pts.size and np.isnan(pts.min()):
+        raise ValueError("invalid parameter")
+    ((costs, _),) = _merge_curve(pts, weights, labels, [0, len(pts)], 0)
     return costs[::-1][np.minimum(np.arange(kmax + 1), costs.shape[0] - 1)]
 
 
@@ -635,7 +650,7 @@ def exact_distance_to_intervals(
     number of positive segments; the witness is the live positive
     segments, each from its first to its last position. O(n log n).
     """
-    if not isinstance(d, (int, np.integer)) or d < 0:
+    if not _is_int(d) or d < 0:
         raise ValueError("invalid class parameter")
     if sample.labels is None:
         raise ValueError("domain mismatch")
@@ -687,7 +702,7 @@ def interval_da_plan(eps: float, d: int) -> dict:
     """
     if not (0.0 < eps < 0.5):
         raise ValueError("invalid parameter")
-    if not isinstance(d, (int, np.integer)) or d < 0:
+    if not _is_int(d) or d < 0:
         raise ValueError("invalid class parameter")
     d = int(d)
     if d <= 8.0 / eps:

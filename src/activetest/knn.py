@@ -31,6 +31,7 @@ from .core import (
     LabelOracle,
     Receipt,
     TargetFunction,
+    _is_int,
     as_generator,
     chernoff_iterations,
 )
@@ -275,11 +276,6 @@ def id_distribution(ids, probs=None) -> Distribution:
     if probs is None:
         probs = np.full(ids.shape[0], 1.0 / ids.shape[0])
     return Distribution.finite(ids.astype(float), probs)
-
-
-def _is_int(v) -> bool:
-    # An integer that is not a bool: True must not pass for 1.
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_k(inst: KnnInstance, k) -> int:

@@ -147,6 +147,14 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             WeightedSample(np.zeros(2), np.full(2, 0.7)).require_normalized()
 
+    def test_nan_weight_or_point_rejected(self):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            WeightedSample(np.array([0.1, 0.2, 0.3]), np.array([np.nan, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="invalid parameter"):
+            WeightedSample(np.array([0.1, np.nan, 0.3]), np.full(3, 1 / 3), labels=[1, 0, 1])
+        # integer points (ids) have no NaN to check
+        assert len(WeightedSample(np.arange(3), np.full(3, 1 / 3))) == 3
+
     def test_json_round_trip(self):
         s = WeightedSample(
             np.array([0.4, 0.1]), np.array([0.25, 0.75]), labels=np.array([1, 0])

@@ -54,6 +54,21 @@ from activetest.harness import (
 _FAST_PARAMS = {"d": 4, "flips": False, "grid": 2000}
 
 
+def _traced_peak(fn) -> int:
+    """tracemalloc's peak above the memory held before fn runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def _fast_config(trials=2, seed=3, tolerance=None):
     return TrialConfig(
         "intervals-da",
@@ -197,17 +212,7 @@ class TestLabelBills:
             "query_many",
             lambda self, pts: labels.append(len(pts)) or query_many(self, pts),
         )
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            bundle.run_trial(np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = _traced_peak(lambda: bundle.run_trial(np.random.default_rng(1)))
         assert peak < 1600 * 1024, peak
         assert heaps == []
         assert labels == [15900, 15900]
@@ -621,6 +626,38 @@ class TestBundledInstances:
         s = grid_interval_sample(noisy_interval_target(3), 100)
         s.require_normalized()
         assert len(s) == 100
+
+    def test_large_d_truth_build_work_guard(self):
+        # Work guard, no timing: building the intervals-da bundle at
+        # d=2,000 on the 80,000-point grid peaks at about 1,800 KB under
+        # tracemalloc, where full weights, an out-of-place label rule and
+        # sorting the grid peaked at 3,900 KB.
+        params = {"d": 2000, "grid": 80_000, "flips": True}
+        build = lambda: harness._build_intervals_da(0.2, params, np.random.default_rng(0))
+        assert build().truth.hex() == "0x1.333333333335dp-3"
+        peak = _traced_peak(build)
+        assert peak < 3000 * 1024, peak
+
+    def test_sorted_grid_solve_work_guard(self, monkeypatch):
+        # The exact solve of that grid, already in order, does not sort it
+        # and peaks at about 1,100 KB, where sorting it peaked at 2,580 KB;
+        # only the witness's 2,000 intervals are sorted.
+        sample = grid_interval_sample(noisy_interval_target(2000), 80_000)
+        exact_distance_to_intervals(sample, 2000)
+        sizes, argsort = [], np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda a, *r, **k: sizes.append(np.size(a)) or argsort(a, *r, **k)
+        )
+        peak = _traced_peak(lambda: exact_distance_to_intervals(sample, 2000))
+        assert peak < 1400 * 1024, peak
+        assert sizes == [2000]
+
+    def test_grid_sample_weights_are_one_read_only_value(self):
+        s = grid_interval_sample(noisy_interval_target(3), 60)
+        assert s.weights.shape == (60,) and s.weights.strides == (0,)
+        assert s.weights[0] == 1 / 60
+        with pytest.raises(ValueError):
+            s.weights[0] = 0.5
 
     def test_block_noise_truth_at_exact_budget(self):
         m = 4

@@ -51,6 +51,11 @@ class TestIntervalUnion:
         with pytest.raises(ValueError):
             IntervalUnion([[0.0, 0.5], [0.5, 0.9]])  # touching counts as overlap
 
+    def test_nan_end_rejected(self):
+        for bad in ([[0.1, math.nan]], [[math.nan, 0.5]], [[0.1, 0.2], [0.5, math.nan]]):
+            with pytest.raises(ValueError, match="invalid class parameter"):
+                IntervalUnion(bad)
+
     def test_empty(self):
         u = IntervalUnion()
         assert len(u) == 0
@@ -173,6 +178,21 @@ class TestExactDistance:
         with pytest.raises(ValueError):
             exact_distance_to_intervals(unnormalized, 1)
 
+    def test_bool_budget_rejected(self):
+        # True is not the budget 1
+        s = WeightedSample.uniform(np.array([0.1, 0.5, 0.9]), labels=[1, 0, 1])
+        with pytest.raises(ValueError, match="invalid class parameter"):
+            exact_distance_to_intervals(s, True)
+        assert exact_distance_to_intervals(s, np.int64(1))[0] == pytest.approx(1 / 3)
+
+    def test_nan_point_rejected(self):
+        # the NaN point's label 0 would vanish from the sorted row and the
+        # distance read 0.0 with the witness [0.1, 0.9]
+        with pytest.raises(ValueError, match="invalid parameter"):
+            exact_distance_to_intervals(
+                WeightedSample.uniform(np.array([0.1, math.nan, 0.9]), labels=[1, 0, 1]), 1
+            )
+
     def test_empty_sample_rejected(self):
         # weights of an empty sample cannot be normalized
         empty = WeightedSample(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int8))
@@ -292,6 +312,15 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             interval_error_curve(np.zeros(1), np.ones(1), np.zeros(1), -1)
 
+    def test_bool_kmax_rejected(self):
+        # True would read as kmax 1, a two-entry curve
+        with pytest.raises(ValueError, match="invalid class parameter"):
+            interval_error_curve(np.zeros(1), np.ones(1), np.zeros(1), kmax=True)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="invalid parameter"):
+            interval_error_curve([0.1, math.nan, 0.9], np.full(3, 1 / 3), [1, 0, 1], 1)
+
     def test_curve_at_d_is_exact_distance_bit_for_bit(self):
         # union-da's per-block estimator reads the curve at d in place of
         # exact_distance_to_intervals, so the two must agree exactly, on
@@ -355,6 +384,34 @@ def _ragged_batches(draw):
         np.asarray(labels, dtype=np.int8),
         offsets,
         stop,
+    )
+
+
+@st.composite
+def _increasing_rows(draw):
+    """One row of 1 to 12 distinct positions in increasing order with
+    mixed, all-0 or all-1 labels, equal or uneven weights (zeros
+    included), a stop from 0 up to past its positive segments, and a
+    shuffle of its positions."""
+    n = draw(st.integers(1, 12))
+    pts = sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)))
+    kind = draw(st.sampled_from(["mixed", "zeros", "ones"]))
+    if kind == "mixed":
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        labels = [int(kind == "ones")] * n
+    if draw(st.booleans()):
+        weights = [1.0 / n] * n
+    else:
+        weights = [w / 7.0 for w in draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))]
+    stop = draw(st.integers(0, (n + 1) // 2))
+    perm = draw(st.permutations(range(n)))
+    return (
+        np.asarray(pts, dtype=float) / 40,
+        np.asarray(weights, dtype=float),
+        np.asarray(labels, dtype=np.int8),
+        stop,
+        np.asarray(perm, dtype=np.intp),
     )
 
 
@@ -548,6 +605,69 @@ class TestRowKernel:
         batch = _grid_rows(np.repeat(pts, 3, axis=0), np.repeat(weights, 3, axis=0), rows)
         assert self._paths_agree(*batch, 900) == 2
 
+    @staticmethod
+    def _unsorted(pts, weights, labels, stop):
+        """The one-row kernel's answer, failing if it sorts."""
+        sorts, argsort = [], np.argsort
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", lambda a, *r, **k: sorts.append(1) or argsort(a, *r, **k))
+            out = _merge_curve(pts, weights, labels, [0, pts.shape[0]], stop)
+        assert sorts == []
+        return out
+
+    @settings(max_examples=400, deadline=None)
+    @given(_increasing_rows())
+    def test_increasing_row_matches_its_shuffle(self, row):
+        # a strictly increasing row is its own order; shuffled, it takes
+        # the argsort, which gives the identity back: the same bytes
+        pts, weights, labels, stop, perm = row
+        in_order = self._unsorted(pts, weights, labels, stop)
+        shuffled = _merge_curve(pts[perm], weights[perm], labels[perm], [0, pts.shape[0]], stop)
+        assert self._bits(in_order) == self._bits(shuffled)
+
+    @pytest.mark.parametrize("stop", [0, 40, 900])
+    def test_long_increasing_row_matches_its_shuffle(self, stop):
+        # rows long enough for the vectorized rounds: random labels on
+        # uneven weights, and alternating labels on equal weights, whose
+        # round cap hands a tail to the seeded heap
+        rng = np.random.default_rng(21)
+        n = 3001
+        pts = (np.arange(n) + 0.5) / n
+        perm = rng.permutation(n)
+        cases = [
+            ((rng.random(n) < 0.5).astype(np.int8), rng.random(n) / n),
+            ((np.arange(n) % 2 == 0).astype(np.int8), np.full(n, 1.0 / n)),
+        ]
+        for labels, weights in cases:
+            in_order = self._unsorted(pts, weights, labels, stop)
+            shuffled = _merge_curve(pts[perm], weights[perm], labels[perm], [0, n], stop)
+            assert self._bits(in_order) == self._bits(shuffled)
+            self._paths_agree(pts, weights, labels, [0, n], stop)
+
+    @pytest.mark.parametrize("flaw", ["tie", "nan", "descent"])
+    def test_row_with_one_flaw_takes_the_sort(self, flaw, monkeypatch):
+        # one tie, one NaN or one descent in an otherwise increasing row:
+        # the row is sorted, and the rounds match the heap loop alone
+        rng = np.random.default_rng(22)
+        n = 3001
+        pts = (np.arange(n) + 0.5) / n
+        i = n // 2
+        if flaw == "tie":
+            pts[i + 1] = pts[i]
+        elif flaw == "nan":
+            pts[i] = math.nan
+        else:
+            pts[[i, i + 1]] = pts[[i + 1, i]]
+        labels = (rng.random(n) < 0.5).astype(np.int8)
+        weights = rng.random(n) / n
+        sizes, argsort = [], np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda a, *r, **k: sizes.append(np.size(a)) or argsort(a, *r, **k)
+        )
+        for stop in (0, 40):
+            self._paths_agree(pts, weights, labels, [0, n], stop)
+        assert sizes == [n] * 4
+
 
 class TestBlockSpec:
     def test_block_curves_match_restricted_dp(self):
@@ -642,6 +762,15 @@ class TestPlan:
             interval_da_plan(0.5, 10)
         with pytest.raises(ValueError):
             interval_da_plan(0.2, -1)
+
+    def test_bool_budget_rejected(self):
+        # True would plan d=1, and both estimators would run at d=1
+        with pytest.raises(ValueError, match="invalid class parameter"):
+            interval_da_plan(0.2, True)
+        pool = _uniform_pool(10, TargetFunction.constant(0), seed=0)
+        with pytest.raises(ValueError, match="invalid class parameter"):
+            interval_da_uniform(pool, 0.2, True)
+        assert pool.unlabeled_used == 0
 
 
 def _uniform_pool(n, target, seed):
@@ -773,7 +902,7 @@ class TestDaWrapper:
     @pytest.mark.parametrize(
         "eps, d, error",
         [(0.2, -1, "invalid class parameter"), (0.2, 2.5, "invalid class parameter"),
-         (0.6, 3, "invalid parameter"), (0.2, 3, None)],
+         (0.2, True, "invalid class parameter"), (0.6, 3, "invalid parameter"), (0.2, 3, None)],
     )
     def test_bad_input_raises_before_drawing(self, eps, d, error):
         draws = []
