@@ -214,8 +214,8 @@ class Receipt:
 
 @dataclass
 class WeightedSample:
-    """Points with nonnegative weights (a finite measure) and optional labels;
-    a NaN point or weight is rejected.
+    """Points with nonnegative weights (a finite measure) and optional 0/1
+    labels; a NaN point or weight, or any other label, is rejected.
 
     Duplicated points stay distinct atoms; weights are expected to sum to 1
     (within 1e-9) wherever a sample stands in for a distribution.
@@ -229,7 +229,8 @@ class WeightedSample:
         self.points = np.asarray(self.points)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int8)
+            labels = np.asarray(self.labels)
+            self.labels = labels.astype(np.int8, copy=False)
         if self.weights.shape[0] != self.points.shape[0]:
             raise ValueError("domain mismatch")
         if self.labels is not None and self.labels.shape[0] != self.points.shape[0]:
@@ -238,6 +239,13 @@ class WeightedSample:
         if self.weights.size and not self.weights.min() >= 0:
             raise ValueError("invalid parameter")
         if self.points.dtype.kind == "f" and self.points.size and np.isnan(self.points.min()):
+            raise ValueError("invalid parameter")
+        # Labels are 0 or 1: the uint8 view reads -1 as 255, and a label
+        # not given as int8 must survive the cast (256 would read 0).
+        if self.labels is not None and self.labels.size and (
+            self.labels.view(np.uint8).max() > 1
+            or (labels.dtype != np.int8 and not np.array_equal(labels, self.labels))
+        ):
             raise ValueError("invalid parameter")
 
     def __len__(self) -> int:
@@ -269,7 +277,7 @@ class WeightedSample:
         return cls(
             np.asarray(obj["points"], dtype=float),
             np.asarray(obj["weights"], dtype=float),
-            np.asarray(obj["labels"], dtype=np.int8) if "labels" in obj else None,
+            np.asarray(obj["labels"]) if "labels" in obj else None,
         )
 
 

@@ -85,16 +85,16 @@ class _IdSpace:
 class MetricSpace(_IdSpace):
     """Finite point set with a symmetric distance, addressed by id.
 
-    Two kinds: "euclidean1d" stores one coordinate per point, "explicit"
-    stores the full distance matrix. Explicit matrices must be square,
-    symmetric, nonnegative, and zero on the diagonal; the triangle
+    Two kinds: "euclidean1d" stores one finite coordinate per point,
+    "explicit" stores the full distance matrix. Explicit matrices must be
+    square, symmetric, nonnegative, and zero on the diagonal; the triangle
     inequality is not enforced at construction (see `verify_triangle`).
     """
 
     def __init__(self, kind: str, *, coords=None, matrix=None):
         if kind == "euclidean1d":
             c = np.asarray(coords, dtype=float)
-            if c.ndim != 1 or c.shape[0] == 0:
+            if c.ndim != 1 or c.shape[0] == 0 or not np.isfinite(c).all():
                 raise ValueError("invalid parameter")
             self.coords = c
             self.matrix = None
@@ -138,12 +138,70 @@ class MetricSpace(_IdSpace):
 
     def ranking(self, x_ids, pool: np.ndarray, k: int) -> np.ndarray:
         """Stable ranking of pool positions by distance from each query id,
-        cut to k; see `KnnInstance.ranking`."""
+        cut to k; see `KnnInstance.ranking`. A line ranks from its sorted
+        coordinates (`_line_top_k`), an explicit matrix by selection over
+        its distance rows (`_stable_top_k`)."""
+        if self.kind == "euclidean1d":
+            return _line_top_k(self, x_ids, pool, k)
         return _stable_top_k(self.cross(x_ids, pool), k)
 
 
+def _line_top_k(space: MetricSpace, x_ids, pool: np.ndarray, k: int) -> np.ndarray:
+    """Exactly ``_stable_top_k(space.cross(x_ids, pool), k)`` on a line,
+    without the distance matrix.
+
+    The pool's coordinates are stable-sorted once, so equal coordinates
+    keep pool order. On each side of a query's insertion point distances
+    grow outward, so its k nearest lie among the k sorted positions on
+    either side: a window of min(2k, N) positions, clipped at the ends.
+    Distances along a window fall then rise, and a stable sort of the
+    window merges those two runs. Its order is the stable argsort's except
+    where the window's coordinate order and the pool order can disagree on
+    a tie: two different coordinates at one distance no greater than the
+    k-th, or a position outside the window at that distance (only the
+    window's two outer neighbors need checking; coordinates are finite, so
+    padding the line with -inf and inf gives every window both). Those
+    rows, and only those, are ranked by `_stable_top_k` on their own
+    distance rows.
+    """
+    x = space._check_ids(np.atleast_1d(x_ids))
+    pool = space._check_ids(pool)
+    n = pool.shape[0]
+    k = min(k, n)
+    w = min(2 * k, n)
+    coords = space.coords[pool]
+    order = np.argsort(coords, kind="stable")
+    line = np.concatenate(([-np.inf], coords[order], [np.inf]))
+    q = space.coords[x]
+    start = np.clip(np.searchsorted(line[1:-1], q) - k, 0, n - w)
+    # Distances as `cross` computes them, q - c; at full width every
+    # window is the whole line.
+    if w == n:
+        d = q[:, None] - line[None, 1:-1]
+    else:
+        d = q[:, None] - np.lib.stride_tricks.sliding_window_view(line[1:-1], w)[start]
+    np.abs(d, out=d)
+    rank = np.argsort(d, axis=1, kind="stable")
+    d.sort(axis=1)  # the distances in rank order
+    kth = d[:, k - 1 : k]
+    flag = np.minimum(np.abs(q - line[start]), np.abs(q - line[start + w + 1])) <= kth[:, 0]
+    # Coordinates are looked up only on rows with equal distances.
+    tied = np.flatnonzero(((d[:, 1:] == d[:, :-1]) & (d[:, 1:] <= kth)).any(axis=1))
+    if tied.size:
+        c = line[1 + start[tied, None] + rank[tied]]
+        t = d[tied]
+        differ = (t[:, 1:] == t[:, :-1]) & (c[:, 1:] != c[:, :-1]) & (t[:, 1:] <= kth[tied])
+        flag[tied] |= differ.any(axis=1)
+    out = np.take(order, rank[:, :k] if w == n else rank[:, :k] + start[:, None])
+    if flag.any():
+        out[flag] = _stable_top_k(space.cross(x[flag], pool), k)
+    return out
+
+
 def _stable_top_k(d: np.ndarray, k: int) -> np.ndarray:
-    """Exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``.
+    """Exactly ``np.argsort(d, axis=1, kind="stable")[:, :k]``: how an
+    explicit matrix ranks, and how a line ranks the rows its windows
+    cannot (see `_line_top_k`).
 
     Below the row length it selects instead of sorting: np.partition finds
     each row's k-th smallest distance, every position strictly nearer is
@@ -198,9 +256,13 @@ class KnnInstance:
     ranking, for every k.
 
     The space supplies ``n``, ``cross(x_ids, y_ids)`` and ``ranking(x_ids,
-    pool, k)``; `MetricSpace` ranks its distance matrix with
-    `_stable_top_k`, and the star metric of `activetest.bandit` reads each
-    row off its star's layout. Pool entries must be integral ids.
+    pool, k)``. An explicit `MetricSpace` selects from its distance rows
+    with `_stable_top_k`. A 1-d one sorts the pool's coordinates once and
+    ranks each query inside the 2k sorted positions around it, which hold
+    its k nearest because distances grow outward on either side; it builds
+    no distance matrix except for rows with a tie it cannot order
+    (`_line_top_k`). The star metric of `activetest.bandit` reads each row
+    off its star's layout. Pool entries must be integral ids.
 
     Rankings cost no labels and depend only on the space and the pool, so
     the instance memoizes them by id: for each width k, up to the pool

@@ -155,6 +155,26 @@ class TestWeightedSample:
         # integer points (ids) have no NaN to check
         assert len(WeightedSample(np.arange(3), np.full(3, 1 / 3))) == 3
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[1, 2, 1], [1, -1, 1], np.array([1, 256, 1]), [1.0, 0.5, 1.0], np.array([0, 1, 3], np.int8)],
+    )
+    def test_non_binary_label_rejected(self, labels):
+        # exact_distance_to_intervals reads a label as the sign 2*label - 1:
+        # [1, 2, 1] gave 0.0 and [1, -1, 1] gave 1/3 at d=1. 256 and 0.5
+        # would cast to the int8 label 0.
+        with pytest.raises(ValueError, match="invalid parameter"):
+            WeightedSample(np.array([0.1, 0.5, 0.9]), np.full(3, 1 / 3), labels=labels)
+        with pytest.raises(ValueError, match="invalid parameter"):
+            WeightedSample.from_json(
+                {"points": [0.1, 0.5, 0.9], "weights": [1 / 3] * 3, "labels": np.asarray(labels).tolist()}
+            )
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1], [True, False, True], [1.0, 0.0, 1.0]])
+    def test_binary_labels_read_as_int8(self, labels):
+        s = WeightedSample(np.array([0.1, 0.5, 0.9]), np.full(3, 1 / 3), labels=labels)
+        assert s.labels.dtype == np.int8 and s.labels.tolist() == [1, 0, 1]
+
     def test_json_round_trip(self):
         s = WeightedSample(
             np.array([0.4, 0.1]), np.array([0.25, 0.75]), labels=np.array([1, 0])

@@ -72,6 +72,15 @@ class TestMetricSpace:
         with pytest.raises(ValueError, match="domain mismatch"):
             space.cross([0], [2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        # argsort ranked a NaN last: ranking([2], 4) read [[2, 0, 3, 1]]
+        with pytest.raises(ValueError, match="invalid parameter"):
+            MetricSpace.euclidean1d([0.0, bad, 0.5, 1.0])
+        payload = {"metric": "euclidean1d", "points": [0.0, bad], "pool_indices": [0, 1], "labels": [0, 1]}
+        with pytest.raises(ValueError, match="invalid parameter"):
+            knn_instance_from_json(json.dumps(payload))
+
     def test_triangle_violation_detected(self):
         bad = np.array(
             [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
@@ -151,6 +160,100 @@ class TestTopKRanking:
             _assert_top_k_is_argsort_prefix(
                 KnnInstance(space, pool, TargetFunction.constant(0)), np.arange(n)
             )
+
+
+# Coordinates with many ties: a coarse lattice (repeated points, points
+# mirrored about a query), optionally with a far point from which every
+# lattice point rounds to one distance.
+_lattice_coords = st.tuples(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=30),
+    st.sampled_from([None, 2.0**60, -(2.0**60)]),
+).map(lambda c: np.array([v / 4.0 for v in c[0]] + ([] if c[1] is None else [c[1]])))
+
+
+class TestLineRanking:
+    """A line ranks from its sorted coordinates, exactly as the stable
+    argsort of its distance matrix would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords=_lattice_coords, data=st.data())
+    def test_matches_stable_argsort(self, coords, data):
+        n = coords.shape[0]
+        space = MetricSpace.euclidean1d(coords)
+        ids = st.integers(0, n - 1)
+        pool = np.array(data.draw(st.lists(ids, min_size=1, max_size=2 * n + 2)))
+        x = np.array(data.draw(st.lists(ids, min_size=1, max_size=12)))
+        k = data.draw(st.integers(1, pool.size))
+        want = np.argsort(space.cross(x, pool), axis=1, kind="stable")[:, :k]
+        got = space.ranking(x, pool, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def _ranked_and_repaired(self, monkeypatch, space, x, pool, k):
+        # The ranking, checked against the stable argsort, and the distance
+        # rows handed to the repair.
+        rows = []
+        fresh = knn._stable_top_k
+
+        def recording(d, width):
+            rows.append(d.copy())
+            return fresh(d, width)
+
+        monkeypatch.setattr(knn, "_stable_top_k", recording)
+        got = space.ranking(x, pool, k)
+        monkeypatch.undo()
+        assert np.array_equal(got, np.argsort(space.cross(x, pool), axis=1, kind="stable")[:, :k])
+        return got, rows
+
+    def test_untied_rows_skip_the_repair(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        space = MetricSpace.euclidean1d(rng.random(300))
+        for k in (1, 7, 100, 150, 200):
+            _, rows = self._ranked_and_repaired(monkeypatch, space, np.arange(300), np.arange(200), k)
+            assert rows == []
+
+    def test_repair_runs_only_on_flagged_rows(self, monkeypatch):
+        # Pool positions 0-2 share the coordinate 0; positions 3-5 sit at
+        # 5, 6 and 8. At k=1 the query at 2 has the window [0, 5], which
+        # leaves the equally near positions 0 and 1 outside, and the query
+        # at 7 has 6 and 8 mirrored; 6.25 and 4 have no tie at or before
+        # the k-th distance.
+        space = MetricSpace.euclidean1d([0.0, 0.0, 0.0, 5.0, 6.0, 8.0, 2.0, 7.0, 6.25, 4.0])
+        pool = np.arange(6)
+        got, rows = self._ranked_and_repaired(monkeypatch, space, [8, 6, 9, 7], pool, 1)
+        assert got[1].tolist() == [0]
+        assert len(rows) == 1 and np.array_equal(rows[0], space.cross([6, 7], pool))
+        # at k=2 the window from 0 holds all three equal coordinates
+        _, rows = self._ranked_and_repaired(monkeypatch, space, [8, 9, 0, 1], pool, 2)
+        assert rows == []
+        # at k=2 from 7, 6 and 8 are the two nearest: still a tie
+        _, rows = self._ranked_and_repaired(monkeypatch, space, [7, 8], pool, 2)
+        assert len(rows) == 1 and np.array_equal(rows[0], space.cross([7], pool))
+        # From 2**60 away every pool point rounds to one distance. At k=1
+        # each window holds only a pair of equal coordinates, and the other
+        # coordinate, just outside, has the lowest pool position.
+        for far, coords in [(-(2.0**60), [0.25, 0.0, 0.0]), (2.0**60, [0.0, 0.25, 0.25])]:
+            space = MetricSpace.euclidean1d(coords + [far])
+            got, rows = self._ranked_and_repaired(monkeypatch, space, [3], [0, 1, 2], 1)
+            assert got.tolist() == [[0]] and len(rows) == 1
+
+    def test_peak_memory(self):
+        # Work guard, no timing: 500 ids at k=25 over a 500-point pool. The
+        # 500 x 500 distance matrix and its selection peaked at 4.6 MB; the
+        # 50-wide windows peak near 0.65 MB.
+        space = MetricSpace.euclidean1d(np.random.default_rng(45).random(500))
+        inst = KnnInstance(space, np.arange(500), TargetFunction.constant(0))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            inst.ranking(np.arange(500), 25)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 def _memo_space(kind: str, rng):
