@@ -72,7 +72,7 @@ def disjoint_union_section():
             np.int8
         )
 
-    target = TargetFunction.from_callable(lambda x: stripes([x])[0], stripes)
+    target = TargetFunction(stripes)
     eps = 0.4
     s, reps = disjoint_union_plan(eps, 2)
     rng = np.random.default_rng(48)

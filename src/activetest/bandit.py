@@ -46,6 +46,7 @@ import numpy as np
 from .core import (
     Receipt,
     TargetFunction,
+    _is_int,
     as_generator,
     chernoff_iterations,
 )
@@ -55,11 +56,8 @@ __all__ = [
     "ArmSet",
     "StarInstance",
     "good_arm_means",
-    "pull",
-    "pull_many",
     "aga_schedule",
     "natural_aga",
-    "hard_gamma",
     "star_soft_plan",
     "star_hard_plan",
     "build_star_instance_soft",
@@ -77,14 +75,12 @@ AGA_BIAS_SHARE = 0.1
 
 
 class ArmSet:
-    """Bernoulli arms with per-arm pull counters.
-
-    `gamma` is the advisory gap parameter; the good/bad dichotomy is
-    enforced only by operations that require it, so arm sets may hold
-    arbitrary means in [0,1].
+    """Bernoulli arms with per-arm pull counters, which `natural_aga`
+    advances. Means may be any values in [0,1]: the good/bad dichotomy at a
+    gap is enforced only by the operations that take one.
     """
 
-    def __init__(self, means, gamma: float | None = None):
+    def __init__(self, means):
         self.means = np.asarray(means, dtype=float)
         if (
             self.means.ndim != 1
@@ -93,19 +89,11 @@ class ArmSet:
             or np.any(self.means > 1.0)
         ):
             raise ValueError("invalid parameter")
-        if gamma is not None and not (0.0 < gamma <= 0.5):
-            raise ValueError("invalid parameter")
-        self.gamma = gamma
         self.pulls = np.zeros(self.means.shape[0], dtype=np.int64)
 
     @property
     def n(self) -> int:
         return int(self.means.shape[0])
-
-    def _check_index(self, i) -> int:
-        if not isinstance(i, (int, np.integer)) or not (0 <= int(i) < self.n):
-            raise ValueError("invalid parameter")
-        return int(i)
 
     def good_mask(self, gamma: float) -> np.ndarray:
         """Which arms are good at gap gamma; raises if any arm is neither
@@ -126,29 +114,6 @@ def good_arm_means(n: int, gamma: float, good_frac: float) -> np.ndarray:
         raise ValueError("invalid parameter: good_frac")
     good = int(round(good_frac * n))
     return np.where(np.arange(n) < good, 0.5 + gamma, 0.5 - gamma)
-
-
-def pull(arms: ArmSet, i: int, seed: int | None | np.random.Generator = None) -> int:
-    """One Bernoulli draw from arm i; increments its pull counter."""
-    i = arms._check_index(i)
-    rng = as_generator(seed)
-    arms.pulls[i] += 1
-    return int(rng.random() < arms.means[i])
-
-
-def pull_many(
-    arms: ArmSet,
-    i: int,
-    count: int,
-    seed: int | None | np.random.Generator = None,
-) -> np.ndarray:
-    """`count` independent draws from arm i, counted individually."""
-    i = arms._check_index(i)
-    if count < 0:
-        raise ValueError("invalid parameter")
-    rng = as_generator(seed)
-    arms.pulls[i] += count
-    return (rng.random(count) < arms.means[i]).astype(np.int8)
 
 
 def aga_schedule(eps: float, gamma: float) -> tuple[int, int]:
@@ -199,16 +164,6 @@ def natural_aga(
     return Receipt(float(np.mean(positives > q / 2.0)), s * q)
 
 
-def hard_gamma(k: int, eps: float, constant: float = 1.0) -> float:
-    """Advisory gap min(1/2, c*sqrt(ln(1/eps)/k)) for hard-star arm means.
-
-    The constant is a free parameter of the construction.
-    """
-    if k < 1 or not (0.0 < eps < 1.0) or constant <= 0.0:
-        raise ValueError("invalid parameter")
-    return min(0.5, constant * math.sqrt(math.log(1.0 / eps) / k))
-
-
 class _StarSpace(_IdSpace):
     """Structured metric over n stars without materializing the matrix.
 
@@ -222,7 +177,7 @@ class _StarSpace(_IdSpace):
     CROSS_STAR = 10.0
 
     def __init__(self, n_stars: int, m: int, b: int, radii: np.ndarray):
-        if not all(isinstance(v, (int, np.integer)) for v in (n_stars, m, b)):
+        if not all(_is_int(v) for v in (n_stars, m, b)):
             raise ValueError("invalid parameter")
         if min(n_stars, m) < 1 or b < 0:
             raise ValueError("invalid parameter")
@@ -344,7 +299,7 @@ class StarInstance:
 def star_soft_plan(p: int, eps: float, constants: tuple = (1.0, 1.0, 1.0)) -> dict:
     """Size formulas of the single-star construction: k = ceil(c1*p^2/eps^2),
     b = ceil(6/eps), N = ceil(c2*(1+b)*k), m = ceil(c3*N^2/(1+b))."""
-    if not isinstance(p, (int, np.integer)) or p < 1 or not (0.0 < eps < 1.0):
+    if not _is_int(p) or p < 1 or not (0.0 < eps < 1.0):
         raise ValueError("invalid parameter")
     c1, c2, c3 = (float(c) for c in constants)
     if min(c1, c2, c3) <= 0.0:
@@ -361,7 +316,7 @@ def star_hard_plan(
 ) -> dict:
     """Size formulas of the n-star construction: b = ceil(3/eps),
     N = ceil(c1*(1+b)*n*(k+ln(1/eps))), m = ceil(c2*N^2/((1+b)*n))."""
-    if n_arms < 1 or k < 1 or not (0.0 < eps < 1.0):
+    if not all(_is_int(v) and v >= 1 for v in (n_arms, k)) or not (0.0 < eps < 1.0):
         raise ValueError("invalid parameter")
     c1, c2 = (float(c) for c in constants)
     if min(c1, c2) <= 0.0:

@@ -20,6 +20,7 @@ from .core import (
     InsufficientPoolError,
     Receipt,
     WeightedSample,
+    _is_int,
     _read_only,
     as_generator,
     chernoff_iterations,
@@ -79,13 +80,13 @@ class CompositionSpec:
 
 @dataclass(frozen=True)
 class TruncatedBudget:
-    """Finite total class-parameter budget with a whole-number per-block cap."""
+    """Finite total class-parameter budget with an integer per-block cap."""
 
     total: float
     cap: int
 
     def __post_init__(self):
-        whole_cap = float(self.cap).is_integer() and self.cap >= 0
+        whole_cap = _is_int(self.cap) and self.cap >= 0
         if not (math.isfinite(self.total) and self.total >= 0 and whole_cap):
             raise ValueError("invalid parameter")
 
@@ -280,8 +281,7 @@ def disjoint_union_plan(eps: float, num_blocks: int) -> tuple[int, int]:
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("invalid parameter")
-    is_int = isinstance(num_blocks, (int, np.integer)) and not isinstance(num_blocks, bool)
-    if not is_int or num_blocks < 1:
+    if not _is_int(num_blocks) or num_blocks < 1:
         raise ValueError("partition violation")
     s = chernoff_iterations(eps / 4.0, 1.0 / 9.0)
     return s, median_repetitions(1.0 / (9.0 * min(s, int(num_blocks))))

@@ -61,24 +61,20 @@ def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
 
 
 class TargetFunction:
-    """A deterministic binary labeling of the domain.
-
-    Wraps a scalar callable plus an optional vectorized form. Use the
-    constructors for the common cases (label arrays indexed by point id,
-    indicator of an interval union, constants).
+    """A deterministic binary labeling of the domain, vectorized: `fn` maps
+    an array of points to a 0/1 array of the same shape. Use the
+    constructors for label arrays indexed by point id and for constants.
     """
 
-    def __init__(self, fn: Callable, fn_many: Callable | None = None):
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self._fn_many = fn_many
-
-    def __call__(self, point) -> int:
-        return int(self._fn(point))
 
     def eval_many(self, points) -> np.ndarray:
-        if self._fn_many is not None:
-            return np.asarray(self._fn_many(np.asarray(points)), dtype=np.int8)
-        return np.asarray([int(self._fn(p)) for p in np.asarray(points)], dtype=np.int8)
+        points = np.asarray(points)
+        out = np.asarray(self._fn(points), dtype=np.int8)
+        if out.shape != points.shape:
+            raise ValueError("domain mismatch")
+        return out
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "TargetFunction":
@@ -86,16 +82,12 @@ class TargetFunction:
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("invalid parameter")
         arr = arr.astype(np.int8)
-        return cls(lambda i: arr[int(i)], lambda ids: arr[np.asarray(ids, dtype=np.intp)])
+        return cls(lambda ids: arr[np.asarray(ids, dtype=np.intp)])
 
     @classmethod
     def constant(cls, bit: int) -> "TargetFunction":
         b = int(bit)
-        return cls(lambda _: b, lambda pts: np.full(np.shape(pts), b, dtype=np.int8))
-
-    @classmethod
-    def from_callable(cls, fn: Callable, fn_many: Callable | None = None) -> "TargetFunction":
-        return cls(fn, fn_many)
+        return cls(lambda pts: np.full(np.shape(pts), b, dtype=np.int8))
 
 
 class LabelOracle:
@@ -114,10 +106,6 @@ class LabelOracle:
         if self.budget is not None and self.used + n > self.budget:
             raise BudgetExceededError("budget exceeded")
         self.used += n
-
-    def query(self, point) -> int:
-        self._charge(1)
-        return int(self.target(point))
 
     def query_many(self, points) -> np.ndarray:
         pts = np.asarray(points)

@@ -302,7 +302,7 @@ def noisy_interval_target(d: int, flips: bool = True) -> TargetFunction:
             ones |= band
         return ones.view(np.int8)
 
-    return TargetFunction.from_callable(lambda x: int(many([x])[0]), many)
+    return TargetFunction(many)
 
 
 def grid_interval_sample(target: TargetFunction, grid_points: int = 100_000) -> WeightedSample:
@@ -356,7 +356,7 @@ def block_noise_target(m: int, noisy_mask) -> TargetFunction:
         ones |= in_seg & mask[blk]
         return ones.astype(np.int8)
 
-    return TargetFunction.from_callable(lambda v: int(many([v])[0]), many)
+    return TargetFunction(many)
 
 
 def composition_segment_sample(
@@ -394,7 +394,7 @@ def striped_union_target() -> TargetFunction:
         odd &= 1
         return ((x >= 0.5) & (odd == 0)).view(np.int8)
 
-    return TargetFunction.from_callable(lambda v: int(many([v])[0]), many)
+    return TargetFunction(many)
 
 
 def _union_block_of(points) -> np.ndarray:
@@ -567,7 +567,7 @@ def _build_union_da(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
         raise ValueError("invalid parameter: pool")
     target = striped_union_target()
     stripes = WeightedSample(
-        0.55 + 0.1 * np.arange(5), np.full(5, 0.2), np.array([1, 0, 1, 0, 1])
+        0.55 + 0.1 * np.arange(5), np.full(5, 0.2), np.array([1, 0, 1, 0, 1], dtype=np.int8)
     )
     d1, _ = exact_distance_to_intervals(stripes, 1)
     truth = 0.5 * 0.0 + 0.5 * float(d1)
@@ -712,7 +712,7 @@ def _build_aga(eps: float, p: dict, rng: np.random.Generator) -> _Bundle:
     truth = np.count_nonzero(means > 0.5) / n
 
     def run(trial_rng: np.random.Generator):
-        return natural_aga(ArmSet(means, gamma), gamma, eps, seed=trial_rng)
+        return natural_aga(ArmSet(means), gamma, eps, seed=trial_rng)
 
     return _Bundle(float(truth), run)
 

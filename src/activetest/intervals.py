@@ -128,11 +128,6 @@ class IntervalUnion:
     def evaluate(self, points) -> np.ndarray:
         return self.contains(points).astype(np.int8)
 
-    def as_target(self) -> TargetFunction:
-        return TargetFunction.from_callable(
-            lambda x: bool(self.contains([x])[0]), lambda pts: self.evaluate(pts)
-        )
-
     def to_json(self) -> dict:
         return {"intervals": [[float(a), float(b)] for a, b in self.intervals]}
 

@@ -7,9 +7,9 @@ draw and label their test points in one pass, then rank each distinct
 test point once (only its k nearest when k is fixed) or, weighted,
 evaluate its weights once. `best_k` reads the neighbors of every grid
 point from one shared set of uniforms (common random numbers) and labels
-them in one call. Predictors read a fully labeled pool for free; the
-estimators pay for every label through the instance's oracle and report
-exact query counts.
+them in one call. The exact oracles read the predictors off a fully
+labeled pool for free; the estimators pay for every label through the
+instance's oracle and report exact query counts.
 
 Estimator accuracy contracts are additive-eps with success probability
 at least 2/3; iteration counts come from `chernoff_iterations`. Each has
@@ -41,8 +41,6 @@ __all__ = [
     "KnnInstance",
     "id_distribution",
     "verify_triangle",
-    "knn_predict_soft",
-    "knn_predict_hard",
     "estimate_soft_loss_pth",
     "estimate_loss_lipschitz",
     "estimate_weighted_nn_loss",
@@ -77,9 +75,6 @@ class _IdSpace:
         if ids.size and (ids.min() < 0 or ids.max() >= self.n):
             raise ValueError("domain mismatch")
         return ids
-
-    def dist(self, a: int, b: int) -> float:
-        return float(self.cross([a], [b])[0, 0])
 
 
 class MetricSpace(_IdSpace):
@@ -413,23 +408,10 @@ def _all_differ(fj: np.ndarray, fx: np.ndarray):
 
 
 def _soft_many(inst: KnnInstance, x_ids, k: int) -> np.ndarray:
+    # The soft predictor at each id: the mean label of its k nearest pool
+    # points, read from the fully labeled pool; the hard one is `> 0.5`.
     labels = _pool_labels(inst)[inst.ranking(x_ids, k)]
     return labels.mean(axis=1)
-
-
-def knn_predict_soft(inst: KnnInstance, x: int, k: int) -> float:
-    """Mean label of the k nearest pool points of x.
-
-    Models the fully labeled predictor: labels are read from the target
-    without charging the oracle.
-    """
-    k = _check_k(inst, k)
-    return float(_soft_many(inst, [int(x)], k)[0])
-
-
-def knn_predict_hard(inst: KnnInstance, x: int, k: int) -> int:
-    """Strict majority vote over the k nearest; an exact tie yields 0."""
-    return int(knn_predict_soft(inst, x, k) > 0.5)
 
 
 def estimate_soft_loss_pth(

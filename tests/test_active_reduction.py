@@ -39,9 +39,7 @@ def _label_all_distance_to_zero(pool, eps, rng):
 
 class TestActiveizeDa:
     def test_estimates_distance_to_constant_zero(self):
-        target = TargetFunction.from_callable(
-            lambda x: x < 0.3, lambda pts: (np.asarray(pts) < 0.3).astype(np.int8)
-        )
+        target = TargetFunction(lambda pts: pts < 0.3)
         res = activeize_da(
             _label_all_distance_to_zero, 20, 0.2, Distribution.uniform01(), target, seed=5
         )

@@ -17,11 +17,8 @@ from activetest import (
     chernoff_iterations,
     exact_hard_error,
     good_arm_means,
-    hard_gamma,
     id_distribution,
     natural_aga,
-    pull,
-    pull_many,
     recover_good_fraction,
     star_hard_plan,
     star_instance_from_json,
@@ -40,8 +37,6 @@ class TestArmSet:
             ArmSet([])
         with pytest.raises(ValueError):
             ArmSet([0.5, 1.2])
-        with pytest.raises(ValueError):
-            ArmSet([0.5], gamma=0.7)
 
     def test_good_mask(self):
         arms = ArmSet([0.9, 0.1, 0.7])
@@ -53,15 +48,15 @@ class TestArmSet:
             arms.good_mask(0.2)
 
     def test_pull_counters_and_determinism_at_extremes(self):
+        # Means 0 and 1 classify every sampled arm exactly, so the estimate
+        # is the share of sampled arms that were arm 1, and each arm's
+        # counter holds q pulls per time it was sampled.
         arms = ArmSet([0.0, 1.0])
-        assert pull(arms, 0, seed=0) == 0
-        draws = pull_many(arms, 1, 5, seed=1)
-        np.testing.assert_array_equal(draws, np.ones(5))
-        np.testing.assert_array_equal(arms.pulls, [1, 5])
-        with pytest.raises(ValueError):
-            pull(arms, 2)
-        with pytest.raises(ValueError):
-            pull_many(arms, 0, -1)
+        s, q = aga_schedule(0.2, 0.5)
+        out = natural_aga(arms, 0.5, 0.2, seed=1)
+        assert arms.pulls.sum() == s * q == out.queries_used
+        assert np.all(arms.pulls % q == 0) and np.all(arms.pulls > 0)
+        assert out.value == arms.pulls[1] / (s * q)
 
 
 class TestAgaSchedule:
@@ -137,14 +132,6 @@ class TestNaturalAga:
 
 
 class TestPlans:
-    def test_hard_gamma(self):
-        assert hard_gamma(100, 0.2) == pytest.approx(
-            math.sqrt(math.log(5.0) / 100)
-        )
-        assert hard_gamma(1, 0.2, constant=10.0) == 0.5
-        with pytest.raises(ValueError):
-            hard_gamma(0, 0.2)
-
     def test_soft_plan_formulas(self):
         plan = star_soft_plan(2, 0.25, constants=(1.0, 0.5, 0.1))
         assert plan["k"] == math.ceil(4 / 0.0625)
@@ -165,6 +152,13 @@ class TestPlans:
             star_soft_plan(0, 0.2)
         with pytest.raises(ValueError):
             star_hard_plan(2, 2, 0.2, constants=(0.0, 1.0))
+        # sizes are integers: True must not pass for 1, nor 2.5 build a plan
+        for p in (True, 2.0):
+            with pytest.raises(ValueError, match="invalid parameter"):
+                star_soft_plan(p, 0.3)
+        for n, k in ((2.5, 1), (2, 1.5), (True, 1), (2, True)):
+            with pytest.raises(ValueError, match="invalid parameter"):
+                star_hard_plan(n, k, 0.3)
 
 
 def _tiny_hard_instance(seed=7):
@@ -187,16 +181,14 @@ class TestStarGeometry:
         si = _tiny_hard_instance()
         space = si.instance.space
         m, size = si.m, space.star_size
-        # two centers of star 0
-        assert space.dist(0, 1) == 1.0
-        # two leaves of star 0
-        assert space.dist(m, m + 1) == 2.0
+        d = space.cross([0], [0, 1, m, size])[0]
+        # the diagonal, then two centers of star 0
+        assert (d[0], d[1]) == (0.0, 1.0)
         # center to a leaf of its own star: that center's radius
-        assert space.dist(0, m) == pytest.approx(space.radii[0])
-        assert 1.0 < space.dist(0, m) < 2.0
-        # across stars
-        assert space.dist(0, size) == 10.0
-        assert space.dist(0, 0) == 0.0
+        assert d[2] == space.radii[0] and 1.0 < d[2] < 2.0
+        # two leaves of star 0, and across stars
+        assert space.cross([m], [m + 1])[0, 0] == 2.0
+        assert d[3] == 10.0
 
     def test_is_a_metric(self):
         si = _tiny_hard_instance()
@@ -219,6 +211,7 @@ class TestStarGeometry:
             (1, 1.5, 1, [1.2]),
             (2.0, 1, 1, [1.2, 1.4]),
             (1, 1, 0.5, [1.2]),
+            (True, 2, 1, [1.2, 1.4]),
         ],
     )
     def test_bad_sizes_rejected(self, n_stars, m, b, radii):

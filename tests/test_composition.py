@@ -43,7 +43,8 @@ class TestTruncatedBudget:
             TruncatedBudget(total=-1.0, cap=2)
         with pytest.raises(ValueError):
             TruncatedBudget(total=3.0, cap=-1)
-        for total, cap in ((2, 1.7), (math.nan, 2), (2, math.nan), (math.inf, 2), (2, math.inf)):
+        bad = ((2, 1.7), (2, 2.0), (1, True), (math.nan, 2), (2, math.nan), (math.inf, 2), (2, math.inf))
+        for total, cap in bad:
             with pytest.raises(ValueError, match="invalid parameter"):
                 TruncatedBudget(total=total, cap=cap)
 
@@ -314,7 +315,7 @@ class TestCompositionPlan:
 class TestCompositionDa:
     def test_zero_distance_target_estimates_zero(self):
         # the target is one interval per block, well inside the budget
-        target = IntervalUnion([[0.0, 0.5]]).as_target()
+        target = TargetFunction(IntervalUnion([[0.0, 0.5]]).evaluate)
         rng = np.random.default_rng(8)
         pool = ActivePool(rng.random(400), LabelOracle(target))
         out = composition_da(
@@ -395,7 +396,7 @@ class TestCompositionDa:
 
         pool = ActivePool(
             np.random.default_rng(8).random(400),
-            LabelOracle(IntervalUnion([[0.0, 0.5]]).as_target()),
+            LabelOracle(TargetFunction(IntervalUnion([[0.0, 0.5]]).evaluate)),
         )
         counted = CompositionSpec(10, spec.cost_curves, block_of=block_of)
         out = composition_da(pool, counted, 2.0, 0.25, 0.5, seed=9, erm_samples=50)
@@ -457,7 +458,7 @@ class TestDisjointUnionDa:
                 (pts >= 0.5) & (((pts - 0.5) // 0.1).astype(int) % 2 == 0)
             ).astype(np.int8)
 
-        target = TargetFunction.from_callable(lambda x: target_fn([x])[0], target_fn)
+        target = TargetFunction(target_fn)
         eps = 0.4
         s, reps = disjoint_union_plan(eps, 2)
         rng = np.random.default_rng(48)

@@ -24,11 +24,11 @@ from activetest.core import as_generator, spawn_seeds
 
 
 class TestTargetFunction:
-    def test_from_labels_scalar_and_vector_agree(self):
+    def test_from_labels_reads_by_id(self):
         labels = [0, 1, 1, 0, 1]
         tf = TargetFunction.from_labels(labels)
-        assert [tf(i) for i in range(5)] == labels
         np.testing.assert_array_equal(tf.eval_many(np.arange(5)), labels)
+        np.testing.assert_array_equal(tf.eval_many([4, 3, 3]), [1, 0, 0])
 
     def test_from_labels_rejects_non_binary(self):
         for labels in ([0, 2, 1], [-1, 0], [0.5, 1.0], [0, 300]):
@@ -39,28 +39,37 @@ class TestTargetFunction:
 
     def test_constant(self):
         tf = TargetFunction.constant(1)
-        assert tf(0.37) == 1
         out = tf.eval_many(np.linspace(0, 1, 7))
         assert out.dtype == np.int8
         assert np.all(out == 1)
+        np.testing.assert_array_equal(TargetFunction.constant(0).eval_many([0.37]), [0])
 
-    def test_from_callable_without_vector_form(self):
-        tf = TargetFunction.from_callable(lambda x: x > 0.5)
-        np.testing.assert_array_equal(tf.eval_many([0.2, 0.7]), [0, 1])
+    def test_vectorized_callable_cast_to_int8(self):
+        tf = TargetFunction(lambda x: x > 0.5)
+        out = tf.eval_many([0.2, 0.7])
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, [0, 1])
+
+    def test_wrong_shaped_labels_rejected(self):
+        # a scalar would broadcast silently against the queried points
+        for fn in (lambda x: 1, lambda x: np.ones(x.shape[0] + 1)):
+            oracle = LabelOracle(TargetFunction(fn))
+            with pytest.raises(ValueError, match="domain mismatch"):
+                oracle.query_many(np.zeros(3))
 
 
 class TestLabelOracle:
     def test_counts_every_query_including_repeats(self):
         oracle = LabelOracle(TargetFunction.constant(0))
-        oracle.query(0.5)
-        oracle.query(0.5)
+        oracle.query_many([0.5])
+        oracle.query_many([0.5, 0.5])
         oracle.query_many(np.zeros(3))
-        assert oracle.used == 5
+        assert oracle.used == 6
         assert oracle.remaining is None
 
     def test_budget_enforced(self):
         oracle = LabelOracle(TargetFunction.constant(1), budget=2)
-        assert oracle.query(0.1) == 1
+        np.testing.assert_array_equal(oracle.query_many([0.1]), [1])
         assert oracle.remaining == 1
         with pytest.raises(BudgetExceededError):
             oracle.query_many([0.1, 0.2])
@@ -71,9 +80,7 @@ class TestLabelOracle:
 class TestActivePool:
     @pytest.fixture
     def pool(self):
-        target = TargetFunction.from_callable(
-            lambda x: x < 0.5, lambda pts: (np.asarray(pts) < 0.5).astype(np.int8)
-        )
+        target = TargetFunction(lambda pts: pts < 0.5)
         points = np.array([0.1, 0.6, 0.3, 0.9, 0.2])
         return ActivePool(points, LabelOracle(target))
 
@@ -103,9 +110,7 @@ class TestActivePool:
 
     def test_query_points_redirect_labeling(self):
         # pool coordinates are ranks, queries must hit the real positions
-        target = TargetFunction.from_callable(
-            lambda x: x > 10, lambda pts: (np.asarray(pts) > 10).astype(np.int8)
-        )
+        target = TargetFunction(lambda pts: pts > 10)
         pool = ActivePool(
             np.array([0.25, 0.75]),
             LabelOracle(target),

@@ -62,11 +62,11 @@ class TestIntervalUnion:
         assert u.measure() == 0.0
         assert not u.contains([0.5])[0]
 
-    def test_as_target_and_json(self):
+    def test_evaluate_target_and_json(self):
         u = IntervalUnion([[0.2, 0.4]])
-        tf = u.as_target()
-        assert tf(0.3) == 1
-        assert tf(0.5) == 0
+        out = TargetFunction(u.evaluate).eval_many([0.3, 0.5, 0.2, 0.4])
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, [1, 0, 1, 1])
         assert IntervalUnion.from_json(u.to_json()) == u
 
 
@@ -780,7 +780,7 @@ def _uniform_pool(n, target, seed):
 
 class TestDaUniform:
     def test_agnostic_route_zero_distance(self):
-        target = IntervalUnion([[0.2, 0.3], [0.6, 0.9]]).as_target()
+        target = TargetFunction(IntervalUnion([[0.2, 0.3], [0.6, 0.9]]).evaluate)
         plan = interval_da_plan(0.25, 8)
         pool = _uniform_pool(plan["samples"] + 10, target, seed=21)
         res = interval_da_uniform(pool, 0.25, 8, seed=22)
@@ -790,7 +790,7 @@ class TestDaUniform:
         assert res.unlabeled_used == plan["samples"]
 
     def test_composition_route_zero_distance(self):
-        target = IntervalUnion([[0.0, 0.5]]).as_target()
+        target = TargetFunction(IntervalUnion([[0.0, 0.5]]).evaluate)
         pool = _uniform_pool(1000, target, seed=23)
         res = interval_da_uniform(pool, 0.2, 100, seed=24)
         assert res.value == 0.0
@@ -818,7 +818,7 @@ class TestDaWrapper:
     def test_small_budget_labels_whole_draw(self):
         union = IntervalUnion([[0.1, 0.4]])
         res = interval_da(
-            Distribution.uniform01(), union.as_target(), 0.3, 2, seed=30
+            Distribution.uniform01(), TargetFunction(union.evaluate), 0.3, 2, seed=30
         )
         n_unl = active_sample_size(4, 0.3)
         assert res.unlabeled_used == n_unl
@@ -829,7 +829,7 @@ class TestDaWrapper:
     def test_large_budget_composition(self):
         union = IntervalUnion([[0.0, 0.5]])
         res = interval_da(
-            Distribution.uniform01(), union.as_target(), 0.4, 1000, seed=31
+            Distribution.uniform01(), TargetFunction(union.evaluate), 0.4, 1000, seed=31
         )
         assert res.value == 0.0
         assert res.witness is None
@@ -842,7 +842,7 @@ class TestDaWrapper:
         # against a 115-point draw, so the draw is labeled and solved
         union = IntervalUnion([[0.1, 0.3], [0.5, 0.6]])
         res = interval_da(
-            Distribution.uniform01(), union.as_target(), 0.4, 100, seed=33
+            Distribution.uniform01(), TargetFunction(union.evaluate), 0.4, 100, seed=33
         )
         inner = interval_da_plan(0.2, 100)
         assert inner["route"] == "composition"
@@ -861,7 +861,7 @@ class TestDaWrapper:
         bill = 3 * interval_da_plan(0.1, d)["erm_samples"]
         n_unl = active_sample_size(2 * d, 0.2)
         assert bill == 44901 and (n_unl <= bill) == exact
-        oracle = LabelOracle(IntervalUnion([[0.0, 0.5]]).as_target())
+        oracle = LabelOracle(TargetFunction(IntervalUnion([[0.0, 0.5]]).evaluate))
         res = interval_da(Distribution.uniform01(), oracle, 0.2, d, seed=34)
         assert res.unlabeled_used == n_unl
         assert res.queries_used == oracle.used == (n_unl if exact else bill)
@@ -880,7 +880,7 @@ class TestDaWrapper:
             batches.append(pts.shape[0])
             return union.evaluate(pts)
 
-        target = TargetFunction.from_callable(lambda x: union.contains([x])[0], record)
+        target = TargetFunction(record)
         res = interval_da(Distribution.uniform01(), target, 0.2, 5580, seed=34)
         assert res == Receipt(0.0, 44901, 44904, None)
         assert batches == [14967] * 3

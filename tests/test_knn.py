@@ -31,8 +31,6 @@ from activetest import (
     id_distribution,
     knn_instance_from_json,
     knn_instance_to_json,
-    knn_predict_hard,
-    knn_predict_soft,
     lipschitz_inner_samples,
     loss_stability_bound,
     run_trials,
@@ -58,13 +56,13 @@ class TestMetricSpace:
     def test_euclidean_cross(self):
         space = MetricSpace.euclidean1d([0.0, 0.5, 2.0])
         np.testing.assert_allclose(space.cross([0, 2], [1]), [[0.5], [1.5]])
-        assert space.dist(0, 2) == 2.0
+        assert space.cross(0, 2)[0, 0] == 2.0
         assert space.n == 3
 
     def test_explicit_matrix(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         space = MetricSpace.explicit(m)
-        assert space.dist(0, 1) == 1.0
+        np.testing.assert_array_equal(space.cross([0, 1], [1]), [[1.0], [0.0]])
         assert verify_triangle(space)
 
     def test_id_range_checked(self):
@@ -376,19 +374,23 @@ class TestRankingMemo:
 
 
 class TestPredictors:
+    # The predictors at id 2 (label 1), read through their exact losses on
+    # the one-atom distribution at 2.
+
     def test_soft_and_hard(self, line_instance):
+        at_2 = id_distribution([2])
         # neighbors of id 2 at k=3: ids 2, 1, 3 -> labels 1, 0, 1
-        assert knn_predict_soft(line_instance, 2, 3) == pytest.approx(2 / 3)
-        assert knn_predict_hard(line_instance, 2, 3) == 1
-        # exact tie votes 0
-        assert knn_predict_soft(line_instance, 2, 2) == pytest.approx(0.5)
-        assert knn_predict_hard(line_instance, 2, 2) == 0
+        assert exact_soft_loss(line_instance, at_2, 3, 1) == pytest.approx(1 / 3)
+        assert exact_hard_error(line_instance, at_2, 3) == 0.0
+        # at k=2, ids 2, 1 -> soft 1/2, and the exact tie votes 0
+        assert exact_soft_loss(line_instance, at_2, 2, 1) == pytest.approx(0.5)
+        assert exact_hard_error(line_instance, at_2, 2) == 1.0
+        assert line_instance.oracle.used == 0
 
     def test_k_validation(self, line_instance):
-        with pytest.raises(ValueError, match="invalid k"):
-            knn_predict_soft(line_instance, 0, 0)
-        with pytest.raises(ValueError, match="invalid k"):
-            knn_predict_soft(line_instance, 0, 7)
+        for k in (0, 7):
+            with pytest.raises(ValueError, match="invalid k"):
+                exact_soft_loss(line_instance, id_distribution([0]), k, 1)
 
 
 class TestBoolCounts:
@@ -398,14 +400,13 @@ class TestBoolCounts:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda inst, d: knn_predict_soft(inst, 0, True),
             lambda inst, d: estimate_soft_loss_pth(inst, d, True, 1, 0.2, seed=0),
             lambda inst, d: estimate_hard_error(inst, d, True, 0.2, seed=0),
             lambda inst, d: estimate_loss_lipschitz(inst, d, True, abs, 1.0, 0.3, seed=0),
             lambda inst, d: exact_soft_loss(inst, d, True, 1),
             lambda inst, d: exact_hard_error(inst, d, True),
         ],
-        ids=["predict", "soft", "hard", "lipschitz", "exact-soft", "exact-hard"],
+        ids=["soft", "hard", "lipschitz", "exact-soft", "exact-hard"],
     )
     def test_bool_k_rejected(self, line_instance, call):
         with pytest.raises(ValueError, match="invalid k"):
